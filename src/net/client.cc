@@ -8,14 +8,21 @@ bool Client::Connect(const std::string& host, std::uint16_t port,
   sock_ = ConnectTo(host, port, error);
   if (!sock_.valid()) return false;
   broken_ = false;
-  Frame reply;
-  if (!Call(FrameType::kHello, {}, FrameType::kHelloAck, &reply, error)) {
+  if (!Hello(error)) {
     Close();
     return false;
   }
+  return true;
+}
+
+bool Client::Hello(std::string* error) {
+  Frame reply;
+  if (!Call(FrameType::kHello, {}, FrameType::kHelloAck, &reply, error)) {
+    return false;
+  }
   if (!DecodeHelloAck(reply.payload, &info_)) {
+    broken_ = true;
     if (error != nullptr) *error = "undecodable hello ack";
-    Close();
     return false;
   }
   return true;
@@ -81,11 +88,10 @@ bool Client::Flush(std::string* error) {
   return Call(FrameType::kFlush, {}, FrameType::kFlushAck, &reply, error);
 }
 
-bool Client::ApplyUpdates(const ApplyUpdatesMsg& msg, ApplyUpdatesAckMsg* ack,
-                          std::string* error) {
+bool Client::CallForAck(FrameType type, std::span<const std::uint8_t> payload,
+                        ApplyUpdatesAckMsg* ack, std::string* error) {
   Frame reply;
-  if (!Call(FrameType::kApplyUpdates, EncodeApplyUpdates(msg),
-            FrameType::kApplyUpdatesAck, &reply, error)) {
+  if (!Call(type, payload, FrameType::kApplyUpdatesAck, &reply, error)) {
     return false;
   }
   if (!DecodeApplyUpdatesAck(reply.payload, ack)) {
@@ -94,6 +100,24 @@ bool Client::ApplyUpdates(const ApplyUpdatesMsg& msg, ApplyUpdatesAckMsg* ack,
     return false;
   }
   return true;
+}
+
+bool Client::ApplyUpdates(const ApplyUpdatesMsg& msg, ApplyUpdatesAckMsg* ack,
+                          std::string* error) {
+  return CallForAck(FrameType::kApplyUpdates, EncodeApplyUpdates(msg), ack,
+                    error);
+}
+
+bool Client::PrepareUpdates(const ApplyUpdatesMsg& msg,
+                            ApplyUpdatesAckMsg* ack, std::string* error) {
+  return CallForAck(FrameType::kPrepareUpdates, EncodeApplyUpdates(msg), ack,
+                    error);
+}
+
+bool Client::ActivateEpoch(std::uint64_t epoch, ApplyUpdatesAckMsg* ack,
+                           std::string* error) {
+  return CallForAck(FrameType::kActivateEpoch, EncodeActivateEpoch({epoch}),
+                    ack, error);
 }
 
 bool Client::Stats(const StatsRequestMsg& msg, StatsReplyMsg* reply,

@@ -37,6 +37,10 @@ class Client {
   bool connected() const { return sock_.valid() && !broken_; }
   const HelloAckMsg& info() const { return info_; }
 
+  /// Re-runs the kHello handshake on the open connection, refreshing
+  /// info() (the peer's n/m/epoch may have moved since Connect).
+  bool Hello(std::string* error);
+
   /// One effective-resistance query. On success fills *response
   /// (whose status may still be a non-kAnswered ServeStatus — transport
   /// success, service-level verdict). On kError from the server, fills
@@ -50,6 +54,13 @@ class Client {
   /// Ships an update batch and blocks until the epoch swap is acked.
   bool ApplyUpdates(const ApplyUpdatesMsg& msg, ApplyUpdatesAckMsg* ack,
                     std::string* error);
+
+  /// The two halves of ApplyUpdates on a shard server: stage the batch's
+  /// epoch (the old one keeps serving), then swap the staged epoch in.
+  bool PrepareUpdates(const ApplyUpdatesMsg& msg, ApplyUpdatesAckMsg* ack,
+                      std::string* error);
+  bool ActivateEpoch(std::uint64_t epoch, ApplyUpdatesAckMsg* ack,
+                     std::string* error);
 
   /// Scrapes the server's metrics snapshot (merged across shards when
   /// the peer is a router).
@@ -67,6 +78,9 @@ class Client {
   /// into *error). Marks the client broken on any failure.
   bool Call(FrameType type, std::span<const std::uint8_t> payload,
             FrameType expect, Frame* reply, std::string* error);
+  /// Call() expecting a kApplyUpdatesAck, decoded into *ack.
+  bool CallForAck(FrameType type, std::span<const std::uint8_t> payload,
+                  ApplyUpdatesAckMsg* ack, std::string* error);
 
   Socket sock_;
   FrameReader reader_;

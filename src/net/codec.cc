@@ -139,6 +139,23 @@ bool DecodeApplyUpdatesAck(std::span<const std::uint8_t> payload,
   return true;
 }
 
+std::vector<std::uint8_t> EncodeActivateEpoch(const ActivateEpochMsg& msg) {
+  std::vector<std::uint8_t> out;
+  wire::PutU64(out, msg.epoch);
+  return out;
+}
+
+bool DecodeActivateEpoch(std::span<const std::uint8_t> payload,
+                         ActivateEpochMsg* out) {
+  std::size_t at = 0;
+  ActivateEpochMsg msg;
+  if (!wire::GetU64(payload, &at, &msg.epoch) || at != payload.size()) {
+    return false;
+  }
+  *out = msg;
+  return true;
+}
+
 std::vector<std::uint8_t> EncodeError(const ErrorMsg& msg) {
   std::vector<std::uint8_t> out;
   wire::PutU16(out, msg.code);

@@ -10,7 +10,7 @@
 // ServiceResponse PODs from serve/service_api.h (shared with in-process
 // callers); this header adds the control-plane messages: the version
 // handshake, Flush, ApplyUpdates (edge updates + coordinated epoch
-// swap) and Shutdown.
+// swap, also split into PrepareUpdates + ActivateEpoch) and Shutdown.
 
 #ifndef GEER_NET_CODEC_H_
 #define GEER_NET_CODEC_H_
@@ -57,10 +57,18 @@ struct ApplyUpdatesMsg {
   std::vector<EdgeUpdate> updates;
 };
 
-/// kApplyUpdatesAck payload.
+/// kApplyUpdatesAck payload; also the reply to kPrepareUpdates (epoch =
+/// the prepared, not yet served, epoch) and to kActivateEpoch.
 struct ApplyUpdatesAckMsg {
   bool ok = false;         ///< every worker (every shard) swapped
   std::uint64_t epoch = 0; ///< epoch now served (valid when ok)
+};
+
+/// kActivateEpoch payload: the epoch a kPrepareUpdates staged. A shard
+/// acks ok=false (and keeps serving) when it holds no prepared epoch or
+/// a different one.
+struct ActivateEpochMsg {
+  std::uint64_t epoch = 0;
 };
 
 /// kStats payload: scrape request. `prefix` filters metric names by
@@ -96,6 +104,7 @@ struct ErrorMsg {
 std::vector<std::uint8_t> EncodeHelloAck(const HelloAckMsg& msg);
 std::vector<std::uint8_t> EncodeApplyUpdates(const ApplyUpdatesMsg& msg);
 std::vector<std::uint8_t> EncodeApplyUpdatesAck(const ApplyUpdatesAckMsg& msg);
+std::vector<std::uint8_t> EncodeActivateEpoch(const ActivateEpochMsg& msg);
 std::vector<std::uint8_t> EncodeError(const ErrorMsg& msg);
 std::vector<std::uint8_t> EncodeStatsRequest(const StatsRequestMsg& msg);
 std::vector<std::uint8_t> EncodeStatsReply(const StatsReplyMsg& msg);
@@ -108,6 +117,8 @@ bool DecodeApplyUpdates(std::span<const std::uint8_t> payload,
                         ApplyUpdatesMsg* out);
 bool DecodeApplyUpdatesAck(std::span<const std::uint8_t> payload,
                            ApplyUpdatesAckMsg* out);
+bool DecodeActivateEpoch(std::span<const std::uint8_t> payload,
+                         ActivateEpochMsg* out);
 bool DecodeError(std::span<const std::uint8_t> payload, ErrorMsg* out);
 bool DecodeStatsRequest(std::span<const std::uint8_t> payload,
                         StatsRequestMsg* out);

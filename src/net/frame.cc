@@ -4,7 +4,7 @@ namespace geer::net {
 
 bool IsKnownFrameType(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kStatsReply);
+         type <= static_cast<std::uint8_t>(FrameType::kActivateEpoch);
 }
 
 void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,

@@ -47,6 +47,10 @@ enum class FrameType : std::uint8_t {
   kError = 11,           ///< server → client: code + message
   kStats = 12,           ///< control: scrape metrics (prefix filter)
   kStatsReply = 13,      ///< counters + gauges + histogram snapshot
+  kPrepareUpdates = 14,  ///< control: stage an epoch, keep serving (acked
+                         ///< kApplyUpdatesAck with the prepared epoch)
+  kActivateEpoch = 15,   ///< control: swap the prepared epoch in
+                         ///< (acked kApplyUpdatesAck)
 };
 
 /// True for the version-1 values above (dispatchers reply kError to

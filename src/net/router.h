@@ -8,15 +8,26 @@
 // a full replica), forward, relay the reply. Forwarding holds a SHARED
 // lock on the swap barrier.
 //
-// ApplyUpdates path: take the barrier EXCLUSIVELY — every in-flight
-// forward completes first, and no new query dispatches until the swap
-// finishes — then broadcast the same update batch to every shard (each
-// derives the same λ deterministically unless the client shipped one)
-// and ack the client only once EVERY shard acked. Layered over each shard's own
-// QueryService submission barrier this extends the single-service
-// guarantee to the cluster: queries forwarded before the swap are
-// answered on the old epoch everywhere, queries after it on the new
-// epoch everywhere, and no query ever observes a half-swapped cluster.
+// ApplyUpdates path, two phases (writers serialized on write_mu_):
+//   1. Prepare, WITHOUT the barrier: broadcast the batch as
+//      kPrepareUpdates. Each shard validates, commits and derives the new
+//      epoch's cold λ (Lanczos — the expensive part) while it keeps
+//      serving the old epoch, so reads keep flowing.
+//   2. Activate, holding the barrier EXCLUSIVELY — every in-flight
+//      forward completes first, and no new query dispatches until every
+//      shard acked kActivateEpoch (a rebind with the staged λ).
+// The client is acked only once EVERY shard activated. Layered over each
+// shard's own QueryService submission barrier this extends the
+// single-service guarantee to the cluster: queries forwarded before the
+// activation are answered on the old epoch everywhere, queries after it
+// on the new epoch everywhere, and no query ever observes a half-swapped
+// cluster. Incremental epochs derive their warm λ inside the rebind, so
+// for them the Lanczos run still falls inside the barrier.
+//
+// Metrics: geer_router_swap_prepare_ns times the prepare fan-out,
+// geer_router_swap_exclusive_ns how long the barrier held reads. A
+// kStats scrape merges the shards' snapshots with the router's own
+// geer_router_* series.
 //
 // Hello verifies the replicas agree (same n, same m, same epoch) —
 // a mis-deployed cluster fails fast instead of answering garbage.
@@ -24,8 +35,11 @@
 #ifndef GEER_NET_ROUTER_H_
 #define GEER_NET_ROUTER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -33,6 +47,7 @@
 #include "net/client.h"
 #include "net/partition.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 
 namespace geer::net {
 
@@ -75,21 +90,40 @@ class Router {
  private:
   HandlerReply Handle(const Frame& frame);
   HandlerReply HandleQuery(const Frame& frame);
+  HandlerReply HandleStats(const Frame& frame);
   HandlerReply HandleApplyUpdates(const Frame& frame);
-  HandlerReply Broadcast(FrameType type, FrameType ack_type,
-                         std::span<const std::uint8_t> payload);
+  /// Runs `call` on a pooled connection to every shard, all in parallel.
+  /// True when every call returned true; else *error names the first
+  /// failing shard.
+  using ShardCall = std::function<bool(std::size_t shard, Client& client,
+                                       std::string* error)>;
+  bool FanOut(const ShardCall& call, std::string* error);
+  /// FanOut of an ack-returning control call: false on a transport
+  /// failure; *all_ok = every shard acked ok for the same epoch, *epoch.
+  bool FanOutAcks(const std::function<bool(Client&, ApplyUpdatesAckMsg*,
+                                           std::string*)>& call,
+                  bool* all_ok, std::uint64_t* epoch, std::string* error);
   static HandlerReply Error(std::uint16_t code, std::string message);
 
   const std::vector<ShardAddress> shards_;
   const RouterOptions options_;
   std::vector<std::unique_ptr<ClientPool>> pools_;  // one per shard
   std::unique_ptr<PartitionMap> partition_;
-  HelloAckMsg cluster_;  // aggregate deployment info (num_shards = k)
+  /// The served epoch: guarded by swap_mu_, written exclusively and
+  /// only under write_mu_ (so writers may read it without swap_mu_).
+  std::uint64_t epoch_ = 0;
+  /// The served epoch's node and edge counts (refreshed after each
+  /// activation, before the writer is acked).
+  std::atomic<std::uint32_t> num_nodes_{0};
+  std::atomic<std::uint64_t> num_edges_{0};
 
-  /// The cross-shard swap barrier: query forwards hold it shared,
-  /// ApplyUpdates holds it exclusive for broadcast + all-acks.
+  /// The cross-shard swap barrier: query forwards hold it shared, an
+  /// epoch swap holds it exclusive for the activate fan-out only.
   std::shared_mutex swap_mu_;
-  std::uint64_t epoch_ = 0;  // guarded by swap_mu_ (exclusive to write)
+  /// Serializes epoch swaps (prepare runs outside swap_mu_).
+  std::mutex write_mu_;
+  obs::Registry::MetricId prepare_ns_;    ///< geer_router_swap_prepare_ns
+  obs::Registry::MetricId exclusive_ns_;  ///< geer_router_swap_exclusive_ns
 
   FrameServer server_;
 };

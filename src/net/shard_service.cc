@@ -68,7 +68,10 @@ HandlerReply ShardServer::Handle(const Frame& frame) {
       service_->Flush();
       return {FrameType::kFlushAck, {}, false};
     case FrameType::kApplyUpdates:
-      return HandleApplyUpdates(frame);
+    case FrameType::kPrepareUpdates:
+      return HandleUpdates(frame);
+    case FrameType::kActivateEpoch:
+      return HandleActivate(frame);
     case FrameType::kStats: {
       StatsRequestMsg request;
       if (!DecodeStatsRequest(frame.payload, &request)) {
@@ -108,74 +111,100 @@ HandlerReply ShardServer::HandleQuery(const Frame& frame) {
           false};
 }
 
-HandlerReply ShardServer::HandleApplyUpdates(const Frame& frame) {
+HandlerReply ShardServer::Ack(const ApplyUpdatesAckMsg& ack) {
+  return {FrameType::kApplyUpdatesAck, EncodeApplyUpdatesAck(ack), false};
+}
+
+HandlerReply ShardServer::HandleUpdates(const Frame& frame) {
   ApplyUpdatesMsg msg;
   if (!DecodeApplyUpdates(frame.payload, &msg)) {
     return Error(ErrorMsg::kBadRequest, "undecodable apply-updates payload");
   }
   std::lock_guard<std::mutex> lock(update_mu_);
+  ApplyUpdatesAckMsg ack = PrepareLocked(msg);
+  if (ack.ok && frame.type == FrameType::kApplyUpdates) {
+    ack = ActivateLocked(ack.epoch);
+  }
+  return Ack(ack);
+}
+
+HandlerReply ShardServer::HandleActivate(const Frame& frame) {
+  ActivateEpochMsg msg;
+  if (!DecodeActivateEpoch(frame.payload, &msg)) {
+    return Error(ErrorMsg::kBadRequest, "undecodable activate payload");
+  }
+  std::lock_guard<std::mutex> lock(update_mu_);
+  return Ack(ActivateLocked(msg.epoch));
+}
+
+ApplyUpdatesAckMsg ShardServer::PrepareLocked(const ApplyUpdatesMsg& msg) {
+  const ApplyUpdatesAckMsg rejected{false, epoch_.load()};
+  // One staged epoch at a time: the DynamicGraph already holds its
+  // commit, so a second batch would build on an epoch nobody serves.
+  if (prepared_.has_value()) return rejected;
   // Pre-validate the whole batch against the pending view: the
   // DynamicGraph mutators abort on contract violations (insert of a
   // present edge, delete of an absent one), and a remote peer must get
   // ok=false, never a dead server. Simulate presence across the batch so
   // insert-then-delete sequences validate correctly.
-  {
-    std::map<Edge, bool> staged;  // canonical edge -> present after ops
-    auto present = [&](NodeId u, NodeId v) {
-      const Edge e{std::min(u, v), std::max(u, v)};
-      const auto it = staged.find(e);
-      return it != staged.end() ? it->second : graph_.HasEdge(u, v);
-    };
-    for (const EdgeUpdate& op : msg.updates) {
-      const Edge e{std::min(op.u, op.v), std::max(op.u, op.v)};
-      switch (op.kind) {
-        case EdgeUpdateKind::kInsert:
-          if (op.u == op.v || present(op.u, op.v) || op.weight != 1.0) {
-            return {FrameType::kApplyUpdatesAck,
-                    EncodeApplyUpdatesAck({false, epoch_.load()}), false};
-          }
-          staged[e] = true;
-          break;
-        case EdgeUpdateKind::kDelete:
-          if (!present(op.u, op.v)) {
-            return {FrameType::kApplyUpdatesAck,
-                    EncodeApplyUpdatesAck({false, epoch_.load()}), false};
-          }
-          staged[e] = false;
-          break;
-        case EdgeUpdateKind::kSetWeight:
-          // Unit-weight tier: only the no-op weight is representable.
-          if (!present(op.u, op.v) || op.weight != 1.0) {
-            return {FrameType::kApplyUpdatesAck,
-                    EncodeApplyUpdatesAck({false, epoch_.load()}), false};
-          }
-          break;
-      }
+  std::map<Edge, bool> staged;  // canonical edge -> present after ops
+  auto present = [&](NodeId u, NodeId v) {
+    const auto it = staged.find({std::min(u, v), std::max(u, v)});
+    return it != staged.end() ? it->second : graph_.HasEdge(u, v);
+  };
+  for (const EdgeUpdate& op : msg.updates) {
+    const Edge e{std::min(op.u, op.v), std::max(op.u, op.v)};
+    switch (op.kind) {
+      case EdgeUpdateKind::kInsert:
+        if (op.u == op.v || present(op.u, op.v) || op.weight != 1.0) {
+          return rejected;
+        }
+        staged[e] = true;
+        break;
+      case EdgeUpdateKind::kDelete:
+        if (!present(op.u, op.v)) return rejected;
+        staged[e] = false;
+        break;
+      case EdgeUpdateKind::kSetWeight:
+        // Unit-weight tier: only the no-op weight is representable.
+        if (!present(op.u, op.v) || op.weight != 1.0) return rejected;
+        break;
     }
   }
   for (const EdgeUpdate& op : msg.updates) graph_.Apply(op);
-  auto snapshot = graph_.Commit();
-  std::optional<double> lambda = msg.lambda;
+  Prepared next{graph_.Commit(), msg.lambda, msg.incremental};
   if (msg.incremental) {
     // Incremental epochs leave λ to the shared cross-epoch holder
-    // (warm-started Lanczos), exactly like the in-process dynamic
-    // workload driver.
+    // (warm-started Lanczos inside the rebind, so during activation),
+    // exactly like the in-process dynamic workload runner.
     if (spectral_ == nullptr && reads_lambda_) spectral_ = MakeSharedSpectral();
-    lambda = std::nullopt;
-  } else if (!lambda.has_value() && reads_lambda_) {
-    lambda = ComputeSpectralBoundsT<UnitWeight>(*snapshot->graph).lambda;
+    next.lambda = std::nullopt;
+  } else if (!next.lambda.has_value() && reads_lambda_) {
+    next.lambda =
+        ComputeSpectralBoundsT<UnitWeight>(*next.snapshot->graph).lambda;
   }
-  std::future<bool> swapped = ApplyEpochUpdate<UnitWeight>(
-      *service_, snapshot, lambda, msg.incremental,
-      msg.incremental ? spectral_ : nullptr);
-  const bool ok = swapped.get();
+  const std::uint64_t epoch = next.snapshot->epoch;
+  prepared_ = std::move(next);
+  return {true, epoch};
+}
+
+ApplyUpdatesAckMsg ShardServer::ActivateLocked(std::uint64_t epoch) {
+  if (!prepared_.has_value() || prepared_->snapshot->epoch != epoch) {
+    return {false, epoch_.load()};
+  }
+  Prepared next = std::move(*prepared_);
+  prepared_.reset();
+  const bool ok =
+      ApplyEpochUpdate<UnitWeight>(
+          *service_, next.snapshot, next.lambda, next.incremental,
+          next.incremental ? spectral_ : nullptr)
+          .get();
   if (ok) {
-    epoch_.store(snapshot->epoch);
-    num_nodes_.store(snapshot->graph->NumNodes());
-    num_edges_.store(snapshot->graph->NumEdges());
+    epoch_.store(next.snapshot->epoch);
+    num_nodes_.store(next.snapshot->graph->NumNodes());
+    num_edges_.store(next.snapshot->graph->NumEdges());
   }
-  return {FrameType::kApplyUpdatesAck,
-          EncodeApplyUpdatesAck({ok, epoch_.load()}), false};
+  return {ok, epoch_.load()};
 }
 
 }  // namespace geer::net

@@ -4,6 +4,15 @@
 // submission-barrier semantics), the estimator built on the published
 // snapshot, and a FrameServer dispatching the wire frames onto them.
 //
+// An epoch swap runs in two phases. PrepareUpdates validates the batch,
+// applies and commits it and derives the new epoch's cold λ, then stages
+// {snapshot, λ} while the old epoch keeps serving; ActivateEpoch swaps
+// the staged epoch into the QueryService. The router (net/router.h)
+// prepares every shard before it holds reads, so reads wait only for the
+// activation. ApplyUpdates is prepare followed by activate. At most one
+// epoch is staged: a second prepare, or an activate for any epoch but
+// the staged one, is acked ok=false and changes nothing.
+//
 // Replication model (see net/partition.h): every shard loads the SAME
 // graph — effective resistance is a global quantity — and the partition
 // map only decides which shard answers which query. Because all shards
@@ -21,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "core/options.h"
@@ -68,7 +78,13 @@ class ShardServer {
  private:
   HandlerReply Handle(const Frame& frame);
   HandlerReply HandleQuery(const Frame& frame);
-  HandlerReply HandleApplyUpdates(const Frame& frame);
+  /// kApplyUpdates (prepare + activate) and kPrepareUpdates.
+  HandlerReply HandleUpdates(const Frame& frame);
+  HandlerReply HandleActivate(const Frame& frame);
+  /// The two phases; the caller holds update_mu_.
+  ApplyUpdatesAckMsg PrepareLocked(const ApplyUpdatesMsg& msg);
+  ApplyUpdatesAckMsg ActivateLocked(std::uint64_t epoch);
+  static HandlerReply Ack(const ApplyUpdatesAckMsg& ack);
   static HandlerReply Error(std::uint16_t code, std::string message);
 
   ShardOptions options_;
@@ -80,9 +96,16 @@ class ShardServer {
   std::unique_ptr<QueryService> service_;
   bool reads_lambda_ = false;
 
-  /// Serializes ApplyUpdates frames: DynamicGraph has a single-writer
+  /// Serializes update frames: DynamicGraph has a single-writer
   /// contract, and concurrent connections may all carry updates.
   std::mutex update_mu_;
+  /// The epoch a PrepareUpdates staged, waiting for its ActivateEpoch.
+  struct Prepared {
+    std::shared_ptr<const DynSnapshot> snapshot;
+    std::optional<double> lambda;  ///< cold λ; empty on incremental epochs
+    bool incremental = false;
+  };
+  std::optional<Prepared> prepared_;  // guarded by update_mu_
   /// Cross-epoch spectral holder for incremental swaps (created on the
   /// first incremental ApplyUpdates; null until then).
   std::shared_ptr<EpochShared<EpochSpectral>> spectral_;

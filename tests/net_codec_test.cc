@@ -69,12 +69,17 @@ TEST(FrameTest, WireConstantsAreFrozen) {
   EXPECT_EQ(static_cast<int>(FrameType::kError), 11);
   EXPECT_EQ(static_cast<int>(FrameType::kStats), 12);
   EXPECT_EQ(static_cast<int>(FrameType::kStatsReply), 13);
+  EXPECT_EQ(static_cast<int>(FrameType::kPrepareUpdates), 14);
+  EXPECT_EQ(static_cast<int>(FrameType::kActivateEpoch), 15);
   EXPECT_TRUE(IsKnownFrameType(1));
   EXPECT_TRUE(IsKnownFrameType(11));
   EXPECT_TRUE(IsKnownFrameType(12));
   EXPECT_TRUE(IsKnownFrameType(13));
+  EXPECT_TRUE(IsKnownFrameType(14));
+  EXPECT_TRUE(IsKnownFrameType(15));
   EXPECT_FALSE(IsKnownFrameType(0));
-  EXPECT_FALSE(IsKnownFrameType(14));
+  // Appending a frame type moves this probe to the next free value.
+  EXPECT_FALSE(IsKnownFrameType(16));
 }
 
 TEST(FrameTest, RoundTripWholeBuffer) {
@@ -309,6 +314,50 @@ TEST(CodecTest, ApplyUpdatesAckRejectsNonBooleanOkByte) {
   EXPECT_FALSE(DecodeApplyUpdatesAck(enc, &out));
 }
 
+TEST(CodecTest, ActivateEpochRoundTrip) {
+  for (std::uint64_t epoch :
+       {std::uint64_t{0}, std::uint64_t{7},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const auto enc = EncodeActivateEpoch({epoch});
+    ActivateEpochMsg out;
+    ASSERT_TRUE(DecodeActivateEpoch(enc, &out));
+    EXPECT_EQ(out.epoch, epoch);
+    ExpectRejectsTruncationAndPadding<ActivateEpochMsg>(enc,
+                                                        DecodeActivateEpoch);
+  }
+}
+
+TEST(CodecTest, PrepareAndActivateFramesRoundTrip) {
+  // kPrepareUpdates carries an ApplyUpdatesMsg, kActivateEpoch an
+  // ActivateEpochMsg; both reassemble through the FrameReader with their
+  // type and request id intact.
+  ApplyUpdatesMsg prepare;
+  prepare.lambda = 0.75;
+  prepare.updates = {{EdgeUpdateKind::kInsert, 1, 2, 1.0},
+                     {EdgeUpdateKind::kDelete, 3, 4, 1.0}};
+  std::vector<std::uint8_t> stream;
+  AppendFrame(stream, FrameType::kPrepareUpdates, 41,
+              EncodeApplyUpdates(prepare));
+  AppendFrame(stream, FrameType::kActivateEpoch, 42, EncodeActivateEpoch({5}));
+  FrameReader reader;
+  reader.Feed(stream);
+  Frame frame;
+  ASSERT_EQ(reader.Next(&frame), FrameReader::Status::kFrame);
+  EXPECT_EQ(frame.type, FrameType::kPrepareUpdates);
+  EXPECT_EQ(frame.request_id, 41u);
+  ApplyUpdatesMsg got;
+  ASSERT_TRUE(DecodeApplyUpdates(frame.payload, &got));
+  EXPECT_EQ(got.lambda, prepare.lambda);
+  EXPECT_EQ(got.updates, prepare.updates);
+  ASSERT_EQ(reader.Next(&frame), FrameReader::Status::kFrame);
+  EXPECT_EQ(frame.type, FrameType::kActivateEpoch);
+  EXPECT_EQ(frame.request_id, 42u);
+  ActivateEpochMsg activate;
+  ASSERT_TRUE(DecodeActivateEpoch(frame.payload, &activate));
+  EXPECT_EQ(activate.epoch, 5u);
+  EXPECT_EQ(reader.Next(&frame), FrameReader::Status::kNeedMore);
+}
+
 TEST(CodecTest, ErrorRoundTrip) {
   ErrorMsg msg;
   msg.code = ErrorMsg::kOutOfRange;
@@ -482,6 +531,8 @@ TEST(CodecTest, DecodersSurviveRandomGarbage) {
     DecodeApplyUpdates(junk, &updates);
     ApplyUpdatesAckMsg ack;
     DecodeApplyUpdatesAck(junk, &ack);
+    ActivateEpochMsg activate;
+    DecodeActivateEpoch(junk, &activate);
     ErrorMsg error;
     DecodeError(junk, &error);
     ServiceRequest request;

@@ -8,7 +8,7 @@
 # down with a --shutdown client (router propagates kShutdown to every
 # shard). Asserts: the client answers every query and exits 0, the
 # merged stats carry shards=2 + the served-query counters + latency
-# quantiles, and the router and both shards exit on their own after
+# quantiles + the router's own swap histograms, and the router and both shards exit on their own after
 # shutdown propagation.
 #
 # Registered in CMakeLists.txt as test net_cluster_smoke with the
@@ -102,6 +102,13 @@ ANSWERED_SUM="$(awk '/^geer_serve_answered_total/ { s += $NF } END { print s+0 }
     <<< "$STATS_OUT")"
 (( ANSWERED_SUM >= 40 )) \
     || { echo "FAIL: merged answered_total $ANSWERED_SUM < 40" >&2; exit 1; }
+# The router adds its own series to the merge: the epoch-swap timings
+# (prepare fan-out, and how long the barrier held reads) are registered
+# at start-up, so they are scraped even before the first swap.
+for series in geer_router_swap_prepare_ns geer_router_swap_exclusive_ns; do
+  grep -q "^${series}_count " <<< "$STATS_OUT" \
+      || { echo "FAIL: stats lack ${series}" >&2; exit 1; }
+done
 
 # Second (tiny) client run tears the deployment down via --shutdown.
 SHUTDOWN_OUT="$("$CLI_BIN" net client --connect="127.0.0.1:$RP" \
