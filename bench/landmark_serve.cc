@@ -1,28 +1,23 @@
-// Landmark-cache serving bench: quantifies what the landmark/hub layer
-// buys on Zipf-skewed traffic — the workload the sublinear serving path
-// is designed for. Each method cell replays the SAME Zipf burst trace
-// (both endpoints drawn ∝ rank^-zipf over the degree ranking, so a few
-// hubs dominate both query sides) through RunServedWorkload in three
-// configurations:
+// Session-cache serving bench on Zipf-skewed traffic — the workload the
+// per-worker session caches are designed for. Each method cell replays
+// the SAME Zipf burst trace (both endpoints drawn ∝ rank^-zipf over the
+// degree ranking from SelectLandmarks, so a few hubs dominate both query
+// sides) through RunServedWorkload in two configurations:
 //
 //   off:      session caches off — per-endpoint walk populations /
-//             solver columns rebuilt on every micro-batch (baseline)
-//   session:  64 MB per-worker session caches, no landmarks — hubs are
-//             cached after first touch but compete for budget and can
-//             be evicted by one-off tail endpoints
-//   landmark: session + the top --landmarks hubs warmed and PINNED per
-//             worker at startup (ServeOptions::landmarks), so the hub
-//             side of every skewed query is a guaranteed cache hit
+//             solver columns / iterate streams rebuilt on every
+//             micro-batch (baseline)
+//   session:  64 MB per-worker session caches — hubs are cached after
+//             first touch and shared across micro-batches
 //
-// and verifies all three answer vectors are bit-identical to the serial
+// and verifies both answer vectors are bit-identical to the serial
 // Estimate loop before reporting throughput, latency percentiles and
-// cache hit rate. The numbers land in EXPERIMENTS.md and in the CI
-// BENCH JSON landmark/ series (tools/run_bench.sh), where the
-// landmark-vs-off throughput ratio is an acceptance gate.
+// cache hit rate. The binary keeps its historical name (and the BENCH
+// JSON landmark/<dataset>/<mode>/ series it feeds through
+// tools/run_bench.sh) so the per-PR trajectory continues.
 //
 //   bench_landmark_serve [--scale=f] [--seed=n] [--tp-scale=f]
-//                        [--threads=n] [--queries=n] [--zipf=f]
-//                        [--landmarks=n] [--csv]
+//                        [--threads=n] [--queries=n] [--zipf=f] [--csv]
 
 #include <cmath>
 #include <cstdio>
@@ -41,7 +36,6 @@ namespace {
 struct Mode {
   const char* name;
   std::size_t session_cache_bytes;
-  std::size_t num_landmarks;
 };
 
 int Main(int argc, char** argv) {
@@ -49,7 +43,6 @@ int Main(int argc, char** argv) {
   int threads = 1;
   std::size_t num_queries = 256;
   double zipf = 1.2;
-  std::size_t num_landmarks = 64;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* key) -> std::optional<std::string> {
@@ -70,8 +63,6 @@ int Main(int argc, char** argv) {
       num_queries = static_cast<std::size_t>(std::atoll(v->c_str()));
     } else if (auto v = value("--zipf")) {
       zipf = std::atof(v->c_str());
-    } else if (auto v = value("--landmarks")) {
-      num_landmarks = static_cast<std::size_t>(std::atoll(v->c_str()));
     } else if (arg == "--csv") {
       args.csv = true;
     } else {
@@ -92,9 +83,8 @@ int Main(int argc, char** argv) {
       {"TPC", "facebook", 0.2},
   };
   const Mode modes[] = {
-      {"off", 0, 0},
-      {"session", 64ull << 20, 0},
-      {"landmark", 64ull << 20, num_landmarks},
+      {"off", 0},
+      {"session", 64ull << 20},
   };
 
   if (args.csv) {
@@ -103,9 +93,9 @@ int Main(int argc, char** argv) {
         "p99_ms,hit_rate,ms_per_q\n");
   } else {
     std::printf(
-        "# zipf(%.2f) trace: %zu queries over degree ranking; landmarks=%zu "
+        "# zipf(%.2f) trace: %zu queries over degree ranking; "
         "tp/tpc scale=%g, threads=%d\n",
-        zipf, num_queries, num_landmarks, args.tp_scale, threads);
+        zipf, num_queries, args.tp_scale, threads);
     std::printf("%-8s %-10s %6s %-10s %12s %9s %9s %9s %9s %9s\n", "method",
                 "dataset", "eps", "mode", "qps", "p50_ms", "p95_ms",
                 "p99_ms", "hit_rate", "ms/q");
@@ -114,8 +104,8 @@ int Main(int argc, char** argv) {
   for (const Cell& cell : cells) {
     auto ds = MakeDataset(cell.dataset, args.scale > 0 ? args.scale : 0.1);
     GEER_CHECK(ds.has_value());
-    // Popularity ranking = full degree ordering; the Zipf head therefore
-    // coincides with the landmark set (the regime the layer targets).
+    // Popularity ranking = full degree ordering: the Zipf head is the
+    // highest-degree hubs.
     const std::vector<NodeId> ranking =
         SelectLandmarks(ds->graph, ds->graph.NumNodes());
     const std::vector<QueryPair> queries =
@@ -126,7 +116,7 @@ int Main(int argc, char** argv) {
     opt.lambda = ds->spectral.lambda;
 
     // Serial ground truth every served mode must reproduce bit for bit —
-    // landmark warming must not change a single answer.
+    // retained session state must not change a single answer.
     std::vector<double> serial_values(queries.size());
     {
       auto estimator = CreateEstimator(cell.method, ds->graph, opt);
@@ -142,10 +132,6 @@ int Main(int argc, char** argv) {
       serve_options.max_linger_seconds = 0.0;
       serve_options.threads = threads;
       serve_options.session_cache_bytes = mode.session_cache_bytes;
-      if (mode.num_landmarks > 0) {
-        serve_options.landmarks =
-            SelectLandmarks(ds->graph, mode.num_landmarks);
-      }
       const ServedWorkloadResult served =
           RunServedWorkload(*estimator, trace, serve_options,
                             /*deadline_seconds=*/0.0, /*realtime=*/false);

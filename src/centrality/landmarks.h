@@ -1,12 +1,9 @@
-// Landmark (hub) selection for the sublinear serving layer: the K
-// highest-centrality nodes, precomputed/pinned by
-// ErEstimator::WarmLandmarks so Zipf-skewed traffic answers its hub side
-// from warm cache state.
+// Landmark (hub) selection: the K highest-centrality nodes, most central
+// first. The full ranking is the popularity order the Zipf workload
+// generators (serve/trace.h MakeZipfQueries) draw skewed traffic over.
 //
 // Two interchangeable scores, both fully deterministic:
-//   * Node weight (degree / strength) — O(n), the default the serving
-//     layer uses. Matches the rank order Zipf workload generators use,
-//     so popular endpoints and warm landmarks coincide.
+//   * Node weight (degree / strength) — O(n), the default.
 //   * Spanning centrality — Σ over incident edges of the UST-sampled
 //     edge ER (src/centrality/spanning_edge_centrality.h), deterministic
 //     in its seed; picks articulation-heavy hubs rather than merely

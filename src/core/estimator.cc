@@ -40,35 +40,12 @@ BatchPlan BatchPlan::Trivial(std::size_t num_queries) {
   return plan;
 }
 
-BatchPlan BatchPlan::GroupBySource(std::span<const QueryPair> queries) {
-  // Stable bucketing: groups ordered by first appearance of the source,
-  // original order kept within a group — deterministic in the input.
-  std::unordered_map<NodeId, std::uint32_t> group_of;
-  std::vector<std::vector<std::uint32_t>> buckets;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto [it, inserted] = group_of.try_emplace(
-        queries[i].s, static_cast<std::uint32_t>(buckets.size()));
-    if (inserted) buckets.emplace_back();
-    buckets[it->second].push_back(static_cast<std::uint32_t>(i));
-  }
-  BatchPlan plan;
-  plan.order.reserve(queries.size());
-  plan.group_offsets.reserve(buckets.size() + 1);
-  plan.group_offsets.push_back(0);
-  for (const auto& bucket : buckets) {
-    plan.order.insert(plan.order.end(), bucket.begin(), bucket.end());
-    plan.group_offsets.push_back(
-        static_cast<std::uint32_t>(plan.order.size()));
-  }
-  return plan;
-}
-
 BatchPlan BatchPlan::GroupByEndpoint(std::span<const QueryPair> queries) {
   // Connected components over the endpoint-sharing relation, via a small
   // union-find on provisional group ids. Unions keep the SMALLER id as
   // root, so a component's id is the id minted at its first query —
-  // groups then order by first appearance, exactly like GroupBySource,
-  // and the result is deterministic in the input order.
+  // groups then order by first appearance of their first query, and the
+  // result is deterministic in the input order.
   std::unordered_map<NodeId, std::uint32_t> group_of_node;
   std::vector<std::uint32_t> parent;
   auto find = [&parent](std::uint32_t g) {
@@ -124,26 +101,6 @@ BatchPlan BatchPlan::GroupByEndpoint(std::span<const QueryPair> queries) {
         static_cast<std::uint32_t>(plan.order.size()));
   }
   return plan;
-}
-
-std::size_t EstimateBySourceRuns(
-    std::span<const QueryPair> queries, std::span<QueryStats> stats,
-    const BatchContext& context,
-    const std::function<std::size_t(NodeId, std::span<const QueryPair>,
-                                    std::span<QueryStats>)>& run_fn) {
-  GEER_CHECK(stats.size() >= queries.size());
-  std::size_t i = 0;
-  while (i < queries.size()) {
-    if (context.Cancelled()) return i;
-    std::size_t j = i + 1;
-    while (j < queries.size() && queries[j].s == queries[i].s) ++j;
-    const std::size_t run = j - i;
-    const std::size_t done = run_fn(queries[i].s, queries.subspan(i, run),
-                                    stats.subspan(i, run));
-    i += done;
-    if (done < run) return i;
-  }
-  return i;
 }
 
 std::size_t EstimateByEndpointRuns(

@@ -146,42 +146,28 @@ struct BatchPlan {
   /// The no-sharing plan: identity order, one group per query.
   static BatchPlan Trivial(std::size_t num_queries);
 
-  /// Groups queries by their source node s, keeping the original order
-  /// within a group and ordering groups by first appearance — the plan
-  /// for estimators whose source-side work is reusable across a group.
-  static BatchPlan GroupBySource(std::span<const QueryPair> queries);
-
   /// Groups queries by EITHER endpoint: two queries land in the same
   /// group iff they are connected through shared endpoints (connected
-  /// components of the query-endpoint graph). Strictly coarser than
-  /// GroupBySource — a shareable pair (any common endpoint) is never
-  /// split across groups — so node-keyed caches (walk populations,
-  /// iterate streams) are reused for s- AND t-sides. Original order is
-  /// kept within a group; groups are ordered by first appearance.
+  /// components of the query-endpoint graph). A shareable pair (any
+  /// common endpoint) is never split across groups, so node-keyed caches
+  /// (walk populations, iterate streams) are reused for s- AND t-sides.
+  /// Original order is kept within a group; groups are ordered by first
+  /// appearance.
   static BatchPlan GroupByEndpoint(std::span<const QueryPair> queries);
 };
 
-/// Splits `queries` into maximal runs of consecutive same-source queries
-/// and feeds each run to `run_fn(source, run_queries, run_stats)`, which
-/// answers a prefix of its run and returns that prefix's length (the
-/// EstimateBatch contract, per run). Stops between runs once
-/// `context.Cancelled()`, or as soon as a run stops short; returns the
-/// total prefix answered. The same-source-sharing estimators implement
-/// EstimateBatch as this plus their per-run executor.
-std::size_t EstimateBySourceRuns(
-    std::span<const QueryPair> queries, std::span<QueryStats> stats,
-    const BatchContext& context,
-    const std::function<std::size_t(NodeId, std::span<const QueryPair>,
-                                    std::span<QueryStats>)>& run_fn);
-
-/// Like EstimateBySourceRuns, but a run extends while all its queries
-/// still share at least one COMMON endpoint (s or t): the run's common
-/// set starts as {s_0, t_0} and is intersected with each next query's
-/// endpoint pair until empty. The run key passed to `run_fn` is the
+/// Splits `queries` into maximal runs of consecutive queries that all
+/// share at least one COMMON endpoint (s or t) and feeds each run to
+/// `run_fn(key, run_queries, run_stats)`, which answers a prefix of its
+/// run and returns that prefix's length (the EstimateBatch contract, per
+/// run). The run's common set starts as {s_0, t_0} and is intersected
+/// with each next query's endpoint pair until empty; the key is the
 /// smallest node id in the final common set — deterministic regardless
-/// of which endpoint position the key occupied. Lockstep group
-/// executors (TP/TPC) use this to share the key side across a run that
-/// mixes "key as source" and "key as target" queries.
+/// of which endpoint position the key occupied. Stops between runs once
+/// `context.Cancelled()`, or as soon as a run stops short; returns the
+/// total prefix answered. Lockstep group executors (TP/TPC) use this to
+/// share the key side across a run that mixes "key as source" and "key
+/// as target" queries.
 std::size_t EstimateByEndpointRuns(
     std::span<const QueryPair> queries, std::span<QueryStats> stats,
     const BatchContext& context,
@@ -233,7 +219,7 @@ class ErEstimator {
   /// Groups `queries` by shared structure for the batch engine. The
   /// default plan shares nothing (one group per query); estimators with
   /// an EstimateBatch override return the grouping their sharing needs
-  /// (typically BatchPlan::GroupBySource).
+  /// (typically BatchPlan::GroupByEndpoint).
   virtual BatchPlan PlanBatch(std::span<const QueryPair> queries) const {
     return BatchPlan::Trivial(queries.size());
   }
@@ -266,36 +252,11 @@ class ErEstimator {
     (void)budget_bytes;
   }
 
-  /// Drops any state retained by EnableSessionCache (the cache stays
-  /// enabled; subsequent batches repopulate it).
-  virtual void ClearSessionCache() {}
-
-  /// True iff this instance currently retains cross-batch session state.
-  virtual bool SessionCacheEnabled() const { return false; }
-
-  /// Aggregated hit/miss/byte counters over this instance's session and
-  /// landmark caches (zeroes when it has none). hits/misses/evictions
-  /// are monotone for the instance's lifetime; bytes/entries/pinned are
-  /// current gauges. The serving layer snapshots these per worker into
-  /// ServeMetrics.
+  /// Aggregated hit/miss/byte counters over this instance's session
+  /// cache (zeroes when it has none). hits/misses/evictions are monotone
+  /// for the instance's lifetime; bytes/entries are current gauges. The
+  /// serving layer snapshots these per worker into ServeMetrics.
   virtual CacheStats SessionCacheStats() const { return {}; }
-
-  /// Precomputes and PINS per-landmark state in the session cache so
-  /// high-centrality hubs (src/centrality/landmarks.h) are answered from
-  /// warm state: solver columns for EXACT/CG (queries combine the two
-  /// endpoint columns, so a landmark endpoint never re-solves), walk
-  /// populations for TP/TPC and iterate streams for SMM/GEER (the
-  /// node-keyed side of a query hits the warm entry). Pinned entries are
-  /// exempt from LRU eviction but epoch RebindGraph still invalidates a
-  /// landmark whose dependency set intersects epoch.touched — it is then
-  /// re-warmed lazily (and re-pinned) on next use. Warming never changes
-  /// answer VALUES, only who pays for them. Enables the session cache if
-  /// it is off. Returns the number of landmarks warmed (0 for estimators
-  /// without warmable state).
-  virtual std::size_t WarmLandmarks(std::span<const NodeId> landmarks) {
-    (void)landmarks;
-    return 0;
-  }
 
   /// Rebinds this estimator to a new epoch of the (logically same) graph
   /// it was constructed on — the dynamic-graph hook (src/dyn/). On

@@ -170,7 +170,6 @@ bool ExactEstimatorT<WP>::RebindGraph(const GraphT& graph,
   }
   graph_ = &graph;
   // Columns are functions of the whole factorization: flush wholesale.
-  // Landmark columns re-warm lazily (pin-on-miss via is_landmark_).
   if (session_ != nullptr) session_->Clear();
   return true;
 }
@@ -193,24 +192,7 @@ const Vector* ExactEstimatorT<WP>::ColumnFor(NodeId node, Vector* scratch) {
   if (const Vector* hit = session_->Find(node)) return hit;
   Vector col = SolveColumn(node);
   const std::size_t bytes = col.size() * sizeof(double) + sizeof(Vector);
-  return session_->Insert(node, std::move(col), bytes, IsLandmark(node));
-}
-
-template <WeightPolicy WP>
-std::size_t ExactEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  Vector scratch;
-  for (const NodeId lm : landmarks) {
-    (void)ColumnFor(lm, &scratch);  // solve + pin (counts hit or miss)
-  }
-  session_->EvictOverBudget();
-  return landmarks.size();
+  return session_->Insert(node, std::move(col), bytes);
 }
 
 template <WeightPolicy WP>

@@ -42,7 +42,7 @@ class ExactEstimatorT : public ErEstimator {
   /// (M⁻¹𝟙 = 𝟙, so the rank-one parts cancel in the difference), bitwise
   /// symmetric in (s, t), and — because a column is a pure function of
   /// its node — identical whether the columns come from the session
-  /// cache, a pinned landmark, or a direct solve.
+  /// cache or a direct solve.
   QueryStats EstimateWithStats(NodeId s, NodeId t) override;
 
   /// Batch workers share the O(n²) factorization — the only per-graph
@@ -58,18 +58,9 @@ class ExactEstimatorT : public ErEstimator {
     session_ = std::make_unique<LruByteCache<NodeId, Vector>>(
         budget_bytes == 0 ? 64ull << 20 : budget_bytes);
   }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
-
-  /// Solves and pins the landmarks' columns in the session cache
-  /// (enabling it if off). Any (s, t) query combining a landmark column
-  /// is exact — not an approximation — by the linearity argument above.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: the factorization depends on the WHOLE graph,
   /// so any epoch change invalidates it — but it is rebuilt exactly once
@@ -97,8 +88,8 @@ class ExactEstimatorT : public ErEstimator {
 
  private:
   // Clone constructor: adopts the shared factorization and its
-  // epoch-keyed holder; the column cache and landmark set start empty
-  // (per-worker state).
+  // epoch-keyed holder; the column cache starts empty (per-worker
+  // state).
   ExactEstimatorT(const ExactEstimatorT& other)
       : graph_(other.graph_),
         max_nodes_(other.max_nodes_),
@@ -122,21 +113,17 @@ class ExactEstimatorT : public ErEstimator {
       const CholeskyFactor& prev, const GraphT& before, const GraphT& after,
       std::span<const NodeId> touched);
 
-  /// M⁻¹ e_node — from the session cache when enabled (inserting, and
-  /// pinning landmarks, on miss), else into `scratch`. The returned
-  /// pointer stays valid across one more ColumnFor call (list-backed).
+  /// M⁻¹ e_node — from the session cache when enabled (inserting on
+  /// miss), else into `scratch`. The returned pointer stays valid across
+  /// one more ColumnFor call (list-backed).
   const Vector* ColumnFor(NodeId node, Vector* scratch);
   Vector SolveColumn(NodeId node) const;
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
 
   const GraphT* graph_;
   NodeId max_nodes_ = 8192;
   std::shared_ptr<const CholeskyFactor> factor_;
   std::shared_ptr<EpochShared<FactorEntry>> shared_factor_;
   std::unique_ptr<LruByteCache<NodeId, Vector>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 

@@ -77,9 +77,9 @@ std::size_t GeerEstimatorT<WP>::EstimateBatch(
     pool = &*local;
   }
   // Same admission rule as SMM's EstimateBatch: materialize a stream
-  // only for nodes that recur in this batch or are pinned landmarks;
-  // batch-singletons read resident streams (Lookup) or iterate
-  // privately — bit-identical either way.
+  // only for nodes that recur in this batch; batch-singletons read
+  // resident streams (Lookup) or iterate privately — bit-identical
+  // either way.
   std::unordered_map<NodeId, std::uint32_t> uses;
   for (const QueryPair& q : queries) {
     if (q.s == q.t) continue;
@@ -87,9 +87,7 @@ std::size_t GeerEstimatorT<WP>::EstimateBatch(
     ++uses[q.t];
   }
   const auto stream_for = [&](NodeId node) -> SmmSourceCacheT<WP>* {
-    if (IsLandmark(node) || uses[node] > 1) {
-      return pool->CacheFor(node, IsLandmark(node));
-    }
+    if (uses[node] > 1) return pool->CacheFor(node);
     return pool->Lookup(node);
   };
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -111,31 +109,6 @@ std::size_t GeerEstimatorT<WP>::EstimateBatch(
     context.ReportAnswered();
   }
   return queries.size();
-}
-
-template <WeightPolicy WP>
-std::size_t GeerEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  // The greedy rule stops SMM somewhere below ℓ; PengEll bounds every
-  // per-pair ℓ, so warming to it (capped by the entry depth) covers any
-  // ℓ_b a query can reach. Extra depth is never read — values are
-  // unaffected either way.
-  const std::uint32_t depth =
-      std::min(PengEll(options_.epsilon, lambda_, options_.max_ell),
-               session_->per_source_iterate_cap());
-  for (const NodeId lm : landmarks) {
-    SmmSourceCacheT<WP>* cache = session_->CacheFor(lm, /*pin=*/true);
-    std::uint64_t fresh = 0;
-    cache->EnsureIterations(depth, &fresh);
-    session_->Sweep({lm});
-  }
-  return landmarks.size();
 }
 
 template <WeightPolicy WP>

@@ -75,17 +75,9 @@ class GeerEstimatorT : public ErEstimator {
     session_ = std::make_unique<SmmSessionCacheT<WP>>(*graph_, &op_,
                                                       budget_bytes);
   }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
-
-  /// Pins prebuilt SMM iterate streams for the landmarks in the session
-  /// cache (enabling it if off); the AMC tail is per query either way.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the
   /// transition operator and walk sampler, re-derives λ, and invalidates
@@ -110,9 +102,6 @@ class GeerEstimatorT : public ErEstimator {
   QueryStats EstimateWithCache(NodeId s, NodeId t,
                                SmmSourceCacheT<WP>* s_cache,
                                SmmSourceCacheT<WP>* t_cache);
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
 
   const GraphT* graph_;
   ErOptions options_;
@@ -120,7 +109,6 @@ class GeerEstimatorT : public ErEstimator {
   TransitionOperatorT<WP> op_;
   WalkerFor<WP> walker_;
   std::unique_ptr<SmmSessionCacheT<WP>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 

@@ -51,12 +51,10 @@ void SmmSessionCacheT<WP>::Rebind(const GraphT& graph,
 }
 
 template <WeightPolicy WP>
-SmmSourceCacheT<WP>* SmmSessionCacheT<WP>::CacheFor(NodeId node, bool pin) {
-  SmmSourceCacheT<WP>* cache = cache_.GetOrCreate(node, [this, node] {
+SmmSourceCacheT<WP>* SmmSessionCacheT<WP>::CacheFor(NodeId node) {
+  return cache_.GetOrCreate(node, [this, node] {
     return SmmSourceCacheT<WP>(*graph_, op_, node, per_source_cap_);
   });
-  if (pin) cache_.Pin(node);
-  return cache;
 }
 
 template <WeightPolicy WP>
@@ -279,10 +277,10 @@ std::size_t SmmEstimatorT<WP>::EstimateBatch(
   }
   // Admission: a cached stream materializes every iterate densely, which
   // only pays off when the stream is read more than once. Create one for
-  // a node that recurs in this batch or is a pinned landmark; a
-  // batch-singleton endpoint reads a stream another batch left resident
-  // (Lookup) but iterates privately in place otherwise — both paths run
-  // the identical ApplyAuto sequence, so the answer never moves.
+  // a node that recurs in this batch; a batch-singleton endpoint reads a
+  // stream another batch left resident (Lookup) but iterates privately
+  // in place otherwise — both paths run the identical ApplyAuto
+  // sequence, so the answer never moves.
   std::unordered_map<NodeId, std::uint32_t> uses;
   for (const QueryPair& q : queries) {
     if (q.s == q.t) continue;
@@ -290,9 +288,7 @@ std::size_t SmmEstimatorT<WP>::EstimateBatch(
     ++uses[q.t];
   }
   const auto stream_for = [&](NodeId node) -> SmmSourceCacheT<WP>* {
-    if (IsLandmark(node) || uses[node] > 1) {
-      return pool->CacheFor(node, IsLandmark(node));
-    }
+    if (uses[node] > 1) return pool->CacheFor(node);
     return pool->Lookup(node);
   };
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -314,32 +310,6 @@ std::size_t SmmEstimatorT<WP>::EstimateBatch(
     context.ReportAnswered();
   }
   return queries.size();
-}
-
-template <WeightPolicy WP>
-std::size_t SmmEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  // Warm to the depth a PengEll-budgeted query would iterate (the
-  // pair-independent bound; refined per-pair ℓ never exceeds it),
-  // clamped by the per-entry cap — deeper demands spill as usual.
-  std::uint32_t depth = options_.smm_iterations > 0
-                            ? options_.smm_iterations
-                            : PengEll(options_.epsilon, lambda_,
-                                      options_.max_ell);
-  depth = std::min(depth, session_->per_source_iterate_cap());
-  for (const NodeId lm : landmarks) {
-    SmmSourceCacheT<WP>* cache = session_->CacheFor(lm, /*pin=*/true);
-    std::uint64_t fresh = 0;
-    cache->EnsureIterations(depth, &fresh);
-    session_->Sweep({lm});
-  }
-  return landmarks.size();
 }
 
 template class SmmSourceCacheT<UnitWeight>;

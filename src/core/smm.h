@@ -120,8 +120,7 @@ class SmmSourceCacheT {
 /// runs. Entries are keyed by NODE (not "source"): a query pulls the
 /// caches for both of its endpoints, so the serving layer's recurring
 /// endpoints hit warm streams regardless of query side. Admission and
-/// eviction run through the shared LruByteCache; landmark entries are
-/// pinned (budget-exempt) by WarmLandmarks. Retained state never
+/// eviction run through the shared LruByteCache. Retained state never
 /// changes answer values — deeper queries spill onto a private copy of
 /// the boundary state exactly as in the uncached path.
 template <WeightPolicy WP>
@@ -149,7 +148,7 @@ class SmmSessionCacheT {
   /// recently used, counted as a hit) or a fresh one (a miss). Never
   /// evicts — a query holds both endpoints' pointers at once; call
   /// Sweep() once they are released.
-  SmmSourceCacheT<WP>* CacheFor(NodeId node, bool pin = false);
+  SmmSourceCacheT<WP>* CacheFor(NodeId node);
 
   /// The retained cache for `node` if one is resident (bumped + counted
   /// like CacheFor), nullptr otherwise — never creates. The admission
@@ -158,17 +157,13 @@ class SmmSessionCacheT {
   /// not worth materializing a dense stream for.
   SmmSourceCacheT<WP>* Lookup(NodeId node) { return cache_.Find(node); }
 
-  /// Re-records the grown entries' bytes and evicts LRU unpinned
-  /// entries over budget. Call between queries, with no CacheFor
-  /// pointers outstanding.
+  /// Re-records the grown entries' bytes and evicts LRU entries over
+  /// budget. Call between queries, with no CacheFor pointers
+  /// outstanding.
   void Sweep(std::initializer_list<NodeId> grown);
 
-  /// Drops every retained cache (hit/miss counters persist).
-  void Clear() { cache_.Clear(); }
-
   /// Dynamic-epoch invalidation: repoints at the new snapshot and evicts
-  /// ONLY the entries whose dependency set intersects epoch.touched —
-  /// pinned landmarks included; they re-warm lazily on next use — or
+  /// ONLY the entries whose dependency set intersects epoch.touched, or
   /// all of them when the node count changed (the dense iterate vectors
   /// are sized to the old n). Surviving caches answer bit-identically
   /// on the new epoch; dyn_consistency_test enforces it.
@@ -176,9 +171,6 @@ class SmmSessionCacheT {
   void Rebind(GraphT&&, const GraphEpoch&) = delete;
 
   std::size_t num_sources() const { return cache_.size(); }
-
-  /// Iterate-depth cap applied to each retained entry.
-  std::uint32_t per_source_iterate_cap() const { return per_source_cap_; }
 
   /// Hit/miss/byte counters (ServeMetrics feed).
   CacheStats stats() const { return cache_.stats(); }
@@ -312,18 +304,9 @@ class SmmEstimatorT : public ErEstimator {
     session_ = std::make_unique<SmmSessionCacheT<WP>>(*graph_, &op_,
                                                       budget_bytes);
   }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
-
-  /// Pins prebuilt iterate streams for the landmarks in the session
-  /// cache (enabling it if off) so queries touching a hub endpoint
-  /// start from a warm stream.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the
   /// transition operator, re-derives λ, and invalidates the session
@@ -342,16 +325,12 @@ class SmmEstimatorT : public ErEstimator {
   QueryStats EstimateWithCache(NodeId s, NodeId t,
                                SmmSourceCacheT<WP>* s_cache,
                                SmmSourceCacheT<WP>* t_cache);
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
 
   const GraphT* graph_;
   ErOptions options_;
   double lambda_;
   TransitionOperatorT<WP> op_;
   std::unique_ptr<SmmSessionCacheT<WP>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 

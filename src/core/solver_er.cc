@@ -60,7 +60,6 @@ bool SolverEstimatorT<WP>::RebindGraph(const GraphT& graph,
   }
   graph_ = &graph;
   // Columns are solutions against the old Laplacian: flush wholesale.
-  // Landmark columns re-warm lazily (pin-on-miss via is_landmark_).
   if (session_ != nullptr) session_->Clear();
   return true;
 }
@@ -89,24 +88,7 @@ const typename SolverEstimatorT<WP>::Column* SolverEstimatorT<WP>::ColumnFor(
   if (const Column* hit = session_->Find(node)) return hit;
   Column col = SolveColumn(node);
   const std::size_t bytes = col.y.size() * sizeof(double) + sizeof(Column);
-  return session_->Insert(node, std::move(col), bytes, IsLandmark(node));
-}
-
-template <WeightPolicy WP>
-std::size_t SolverEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  Column scratch;
-  for (const NodeId lm : landmarks) {
-    (void)ColumnFor(lm, &scratch);  // solve + pin (counts hit or miss)
-  }
-  session_->EvictOverBudget();
-  return landmarks.size();
+  return session_->Insert(node, std::move(col), bytes);
 }
 
 template <WeightPolicy WP>

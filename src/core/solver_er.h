@@ -37,8 +37,7 @@ class SolverEstimatorT : public ErEstimator {
   /// (u, v) = (min, max): the centering parts cancel in the difference,
   /// the combination is bitwise symmetric in (s, t), and — because a
   /// column is a pure function of its node — identical whether the
-  /// columns come from the session cache, a pinned landmark, or a
-  /// direct solve.
+  /// columns come from the session cache or a direct solve.
   QueryStats EstimateWithStats(NodeId s, NodeId t) override;
 
   /// Batch workers share the solver (graph view + Jacobi preconditioner);
@@ -54,17 +53,9 @@ class SolverEstimatorT : public ErEstimator {
     session_ = std::make_unique<LruByteCache<NodeId, Column>>(
         budget_bytes == 0 ? 64ull << 20 : budget_bytes);
   }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
-
-  /// Solves and pins the landmarks' columns in the session cache
-  /// (enabling it if off).
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: once per epoch across every clone sharing the
   /// holder (core/epoch_shared.h), the solver is rebound — by refreshing
@@ -94,7 +85,7 @@ class SolverEstimatorT : public ErEstimator {
   };
 
   // Clone constructor: adopts the shared solver and its epoch holder;
-  // the column cache and landmark set start empty (per-worker state).
+  // the column cache starts empty (per-worker state).
   SolverEstimatorT(const SolverEstimatorT& other)
       : graph_(other.graph_),
         solver_(other.solver_),
@@ -102,15 +93,11 @@ class SolverEstimatorT : public ErEstimator {
 
   const Column* ColumnFor(NodeId node, Column* scratch);
   Column SolveColumn(NodeId node) const;
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
 
   const GraphT* graph_;
   std::shared_ptr<const LaplacianSolverT<WP>> solver_;
   std::shared_ptr<EpochShared<SolverEntry>> shared_solver_;
   std::unique_ptr<LruByteCache<NodeId, Column>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 

@@ -16,7 +16,7 @@ namespace {
 constexpr std::uint64_t kTpStreamTag = 0x5450u;  // "TP"
 
 // Stamps the walk schedule and the retained-byte estimate on a freshly
-// recorded population (shared by the session path and WarmLandmarks).
+// recorded population.
 template <typename Population>
 void FinalizePopulation(std::uint32_t ell, std::uint64_t eta,
                         Population* rec) {
@@ -53,14 +53,14 @@ TpSessionCacheT<WP>::Find(NodeId node) {
 }
 
 template <WeightPolicy WP>
-void TpSessionCacheT<WP>::Insert(NodePopulation pop, bool pinned) {
+void TpSessionCacheT<WP>::Insert(NodePopulation pop) {
   // Larger than the whole budget: admitting would only evict every other
   // population and then be dropped itself next insert — skip admission
-  // entirely (pinned landmarks are budget-exempt, so they always enter).
-  if (!pinned && pop.bytes > cache_.budget_bytes()) return;
+  // entirely.
+  if (pop.bytes > cache_.budget_bytes()) return;
   const NodeId node = pop.node;
   const std::size_t bytes = pop.bytes;
-  cache_.Insert(node, std::move(pop), bytes, pinned);
+  cache_.Insert(node, std::move(pop), bytes);
   cache_.EvictOverBudget();
 }
 
@@ -94,16 +94,12 @@ bool TpEstimatorT<WP>::RebindGraph(const GraphT& graph,
     if (epoch.resized || new_ell != old_ell ||
         WalksPerLength(new_ell) != old_eta) {
       // Resize or schedule change: every population is stale (wrong
-      // dimension or wrong (ℓ, η)). Landmark populations are re-warmed
-      // lazily — their pin-on-insert flag comes from is_landmark_, so
-      // the next query (or WarmLandmarks call) restores them.
+      // dimension or wrong (ℓ, η)).
       session_->Clear();
     } else {
       // Selective retention: a population whose recorded visit set is
       // disjoint from the touched rows replays bit-identically on the
-      // new graph — evict only the intersecting ones. Pinned landmarks
-      // are evicted too when they intersect (lazy re-warm restores
-      // them).
+      // new graph — evict only the intersecting ones.
       session_->EvictIf([&](NodeId, const SessionPopulation& pop) {
         return pop.visits.Intersects(epoch.touched);
       });
@@ -463,56 +459,17 @@ void TpEstimatorT<WP>::EstimateKeyGroupSession(
   stats[first_live].walks += shared.walks;
   stats[first_live].walk_steps += shared.walk_steps;
 
-  // Retain the populations built this group; landmark nodes are pinned
-  // on insert (the lazy re-warm after an epoch flush).
+  // Retain the populations built this group.
   if (record_key) {
     FinalizePopulation(ell, eta, &key_rec);
-    session_->Insert(std::move(key_rec), IsLandmark(key));
+    session_->Insert(std::move(key_rec));
   }
   for (std::size_t j = 0; j < m; ++j) {
     if (state[j].live && state[j].record_o) {
       FinalizePopulation(ell, eta, &state[j].o_rec);
-      session_->Insert(std::move(state[j].o_rec),
-                       IsLandmark(state[j].other));
+      session_->Insert(std::move(state[j].o_rec));
     }
   }
-}
-
-template <WeightPolicy WP>
-std::size_t TpEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  const NodeId n = graph_->NumNodes();
-  is_landmark_.assign(n, 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < n);
-    is_landmark_[lm] = 1;
-  }
-  const std::uint32_t ell =
-      PengEll(options_.epsilon, lambda_, options_.max_ell);
-  const std::uint64_t eta = WalksPerLength(ell);
-  if (hist_count_.size() != n) {
-    hist_count_.assign(n, 0);
-    hist_touched_.clear();
-  }
-  for (const NodeId lm : landmarks) {
-    // Find counts a hit or a miss — warming is part of the cache trace.
-    if (session_->Find(lm) != nullptr) {
-      session_->Pin(lm);
-      continue;
-    }
-    SessionPopulation rec;
-    rec.node = lm;
-    rec.hist.reserve(ell);
-    rec.visits = VisitFilter(n);
-    Rng rng(MixSeed(MixSeed(options_.seed, kTpStreamTag), lm));
-    for (std::uint32_t i = 1; i <= ell; ++i) {
-      SimulateLength(lm, i, eta, rng, &rec);
-    }
-    FinalizePopulation(ell, eta, &rec);
-    session_->Insert(std::move(rec), /*pinned=*/true);
-  }
-  return landmarks.size();
 }
 
 template <WeightPolicy WP>

@@ -49,8 +49,7 @@ namespace geer {
 /// answers every count lookup (p̂_i(v, s), p̂_i(v, t)) from the histogram
 /// without simulating a single walk; values stay bit-identical because
 /// the counts are exactly what the serial simulation would produce.
-/// LRU over nodes under a byte budget (LruByteCache admission layer;
-/// pinned landmark populations are exempt from eviction).
+/// LRU over nodes under a byte budget (LruByteCache admission layer).
 template <WeightPolicy WP>
 class TpSessionCacheT {
  public:
@@ -84,19 +83,13 @@ class TpSessionCacheT {
   const NodePopulation* Find(NodeId node);
 
   /// Retains `pop` (replacing any entry for the same node), evicting
-  /// least-recently-used unpinned populations beyond the byte budget.
-  /// Pinned populations (landmarks) are exempt from both the admission
-  /// size check and eviction.
-  void Insert(NodePopulation pop, bool pinned = false);
-
-  /// Marks an existing node's population as pinned (no-op when absent).
-  void Pin(NodeId node) { cache_.Pin(node); }
+  /// least-recently-used populations beyond the byte budget.
+  void Insert(NodePopulation pop);
 
   void Clear() { cache_.Clear(); }
 
-  /// Removes every population (pinned included) matching
-  /// pred(node, population) — the epoch-swap selective-invalidation
-  /// hook. Returns the number removed.
+  /// Removes every population matching pred(node, population) — the
+  /// epoch-swap selective-invalidation hook. Returns the number removed.
   template <typename Pred>
   std::size_t EvictIf(Pred&& pred) {
     return cache_.EvictIf(std::forward<Pred>(pred));
@@ -145,20 +138,9 @@ class TpEstimatorT : public ErEstimator {
   void EnableSessionCache(std::size_t budget_bytes = 0) override {
     session_ = std::make_unique<TpSessionCacheT<WP>>(budget_bytes);
   }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
-
-  /// Pins full walk populations for the landmarks in the session cache
-  /// (enabling it if off): ℓ = PengEll, η = WalksPerLength(ℓ), so a
-  /// pinned population answers any query's count lookups. Values are
-  /// unchanged — the population is exactly what serial simulation of the
-  /// landmark's stream produces.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
   /// sampler, and re-derives λ (through epoch.spectral when attached —
@@ -199,9 +181,6 @@ class TpEstimatorT : public ErEstimator {
   void EstimateKeyGroupSession(NodeId key,
                                std::span<const QueryPair> queries,
                                std::span<QueryStats> stats);
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
 
   /// Session path: resets the dense histogram scratch, then either
   /// simulates the η length-i walks of `node` (appending the compacted
@@ -227,7 +206,6 @@ class TpEstimatorT : public ErEstimator {
   // from a retained row) and doubles as the session recorder.
   std::vector<std::uint32_t> hist_count_;
   std::vector<NodeId> hist_touched_;
-  std::vector<char> is_landmark_;
   // RebindGraph calls that reused previous-epoch state (warm λ and/or
   // selective session retention). Atomic: serve workers may read the
   // metric while another thread rebinds.

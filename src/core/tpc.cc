@@ -23,17 +23,14 @@ TpcSessionCacheT<WP>::TpcSessionCacheT(std::size_t budget_bytes)
 template <WeightPolicy WP>
 typename TpcSessionCacheT<WP>::Population*
 TpcSessionCacheT<WP>::GetOrCreate(NodeId node, std::uint64_t side,
-                                  std::uint64_t stream_base, bool pinned) {
-  const std::uint64_t key = Key(node, side);
-  Population* pop = cache_.GetOrCreate(key, [&] {
+                                  std::uint64_t stream_base) {
+  return cache_.GetOrCreate(Key(node, side), [&] {
     Population fresh;
     fresh.node = node;
     fresh.side = side;
     fresh.stream_base = stream_base;
     return fresh;
   });
-  if (pinned) cache_.Pin(key);
-  return pop;
 }
 
 template <WeightPolicy WP>
@@ -85,8 +82,7 @@ bool TpcEstimatorT<WP>::RebindGraph(const GraphT& graph,
       // prefix even when the new λ changes the schedule, because the
       // schedule only decides how far queries read or extend. Only
       // populations whose walks stepped from a touched row replay
-      // differently on the new graph; evict exactly those (pinned
-      // landmarks included — WarmLandmarks re-warms lazily).
+      // differently on the new graph; evict exactly those.
       session_->EvictIf([&](std::uint64_t, const SessionPopulation& pop) {
         return pop.visits.Intersects(epoch.touched);
       });
@@ -309,10 +305,8 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
   std::vector<SessionPopulation*> used;  // for post-group re-accounting
   if (use_session) {
     used.reserve(2 + 2 * m);
-    a_k.session =
-        session_->GetOrCreate(key, 0, StreamBase(key, 0), IsLandmark(key));
-    b_k.session =
-        session_->GetOrCreate(key, 1, StreamBase(key, 1), IsLandmark(key));
+    a_k.session = session_->GetOrCreate(key, 0, StreamBase(key, 0));
+    b_k.session = session_->GetOrCreate(key, 1, StreamBase(key, 1));
     used.push_back(a_k.session);
     used.push_back(b_k.session);
   } else {
@@ -345,12 +339,10 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
     // i = 0 seed 1/w(u) + 1/w(v): FP addition is commutative bitwise.
     st.estimate = inv_wk + 1.0 / WP::NodeWeight(*graph_, st.other);
     if (use_session) {
-      st.a_o.session = session_->GetOrCreate(st.other, 0,
-                                             StreamBase(st.other, 0),
-                                             IsLandmark(st.other));
-      st.b_o.session = session_->GetOrCreate(st.other, 1,
-                                             StreamBase(st.other, 1),
-                                             IsLandmark(st.other));
+      st.a_o.session =
+          session_->GetOrCreate(st.other, 0, StreamBase(st.other, 0));
+      st.b_o.session =
+          session_->GetOrCreate(st.other, 1, StreamBase(st.other, 1));
       used.push_back(st.a_o.session);
       used.push_back(st.b_o.session);
     } else {
@@ -420,39 +412,6 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
   stats[first_live].walks += shared.walks;
   stats[first_live].walk_steps += shared.walk_steps;
   if (use_session) session_->Reaccount(used);  // budget + LRU eviction
-}
-
-template <WeightPolicy WP>
-std::size_t TpcEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  const NodeId n = graph_->NumNodes();
-  is_landmark_.assign(n, 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < n);
-    is_landmark_[lm] = 1;
-  }
-  const std::uint32_t ell =
-      PengEll(options_.epsilon, lambda_, options_.max_ell);
-  QueryStats scratch;
-  for (const NodeId lm : landmarks) {
-    SessionPopulation* a =
-        session_->GetOrCreate(lm, 0, StreamBase(lm, 0), /*pinned=*/true);
-    SessionPopulation* b =
-        session_->GetOrCreate(lm, 1, StreamBase(lm, 1), /*pinned=*/true);
-    // Advance to the full per-length schedule at the landmark's own β
-    // (a lower bound on any query's β with this endpoint may not hold,
-    // so queries extend the populations in place when they need more
-    // walks — content-addressed streams keep that bit-identical).
-    for (std::uint32_t i = 1; i <= ell; ++i) {
-      const std::uint64_t n_walks = WalksForLength(i, ell, lm, lm);
-      AdvanceSessionPopulation(a, (i + 1) / 2, n_walks, &scratch);
-      AdvanceSessionPopulation(b, i / 2, n_walks, &scratch);
-    }
-    SessionPopulation* const used[] = {a, b};
-    session_->Reaccount(used);
-  }
-  return landmarks.size();
 }
 
 template <WeightPolicy WP>

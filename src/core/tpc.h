@@ -61,8 +61,7 @@ namespace geer {
 /// function of (seed, node, side, k, length), so retained populations
 /// never change answer values. LRU over (node, side) under a byte
 /// budget (LruByteCache admission layer), enforced between groups
-/// (Reaccount) so pointers handed out during a group stay valid. Pinned
-/// landmark populations are exempt from eviction.
+/// (Reaccount) so pointers handed out during a group stay valid.
 template <WeightPolicy WP>
 class TpcSessionCacheT {
  public:
@@ -89,22 +88,20 @@ class TpcSessionCacheT {
 
   /// The population for (node, side), created empty on first use; bumped
   /// to most recently used (counts a hit or a miss). The pointer stays
-  /// valid until Reaccount(). `pinned` marks the population budget-exempt
-  /// (landmarks).
+  /// valid until Reaccount().
   Population* GetOrCreate(NodeId node, std::uint64_t side,
-                          std::uint64_t stream_base, bool pinned = false);
+                          std::uint64_t stream_base);
 
   /// Re-accounts the byte usage of exactly the populations a group used
   /// (duplicates are fine — the update is idempotent) and evicts the
-  /// least recently used unpinned populations beyond the budget.
+  /// least recently used populations beyond the budget.
   /// O(grown), not O(cache).
   void Reaccount(std::span<Population* const> grown);
 
   void Clear() { cache_.Clear(); }
 
-  /// Removes every population (pinned included) matching
-  /// pred(key, population) — the epoch-swap selective-invalidation hook.
-  /// Returns the number removed.
+  /// Removes every population matching pred(key, population) — the
+  /// epoch-swap selective-invalidation hook. Returns the number removed.
   template <typename Pred>
   std::size_t EvictIf(Pred&& pred) {
     return cache_.EvictIf(std::forward<Pred>(pred));
@@ -157,19 +154,9 @@ class TpcEstimatorT : public ErEstimator {
   void EnableSessionCache(std::size_t budget_bytes = 0) override {
     session_ = std::make_unique<TpcSessionCacheT<WP>>(budget_bytes);
   }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
-
-  /// Pins A/B walk populations for the landmarks in the session cache
-  /// (enabling it if off), advanced to the full per-length schedule at
-  /// the landmark's own β. Queries extend them in place if they need
-  /// more walks — content-addressed streams keep values unchanged.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
   /// sampler, and re-derives λ (through epoch.spectral when attached —
@@ -256,9 +243,6 @@ class TpcEstimatorT : public ErEstimator {
                         std::span<QueryStats> stats);
 
   std::uint64_t StreamBase(NodeId node, std::uint64_t side) const;
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
 
   const GraphT* graph_;
   ErOptions options_;
@@ -269,7 +253,6 @@ class TpcEstimatorT : public ErEstimator {
   std::vector<std::uint32_t> count_a_;
   std::vector<std::uint32_t> count_b_;
   std::vector<NodeId> touched_;
-  std::vector<char> is_landmark_;
   // RebindGraph calls that reused previous-epoch state (warm λ and/or
   // selective session retention). Atomic: serve workers may read the
   // metric while another thread rebinds.

@@ -129,7 +129,7 @@ struct ServedWorkloadResult {
   double avg_batch = 0.0;  ///< mean dispatched micro-batch size
   int workers = 1;         ///< dispatch workers the service used
 
-  /// Session/landmark cache counters summed over workers at shutdown
+  /// Session cache counters summed over workers at shutdown
   /// (all zero when the estimator has no session cache enabled).
   CacheStats session_cache;
 

@@ -146,8 +146,12 @@ ApplyUpdatesAckMsg ShardServer::PrepareLocked(const ApplyUpdatesMsg& msg) {
   // DynamicGraph mutators abort on contract violations (insert of a
   // present edge, delete of an absent one), and a remote peer must get
   // ok=false, never a dead server. Simulate presence across the batch so
-  // insert-then-delete sequences validate correctly.
+  // insert-then-delete sequences validate correctly. An insert may name
+  // at most the next fresh node id per endpoint, so ids grow densely: a
+  // far endpoint would size the CSR for it (or wrap the node count at
+  // 0xFFFFFFFF) instead of failing the request.
   std::map<Edge, bool> staged;  // canonical edge -> present after ops
+  std::uint64_t next_fresh = graph_.NumNodes();
   auto present = [&](NodeId u, NodeId v) {
     const auto it = staged.find({std::min(u, v), std::max(u, v)});
     return it != staged.end() ? it->second : graph_.HasEdge(u, v);
@@ -156,6 +160,10 @@ ApplyUpdatesAckMsg ShardServer::PrepareLocked(const ApplyUpdatesMsg& msg) {
     const Edge e{std::min(op.u, op.v), std::max(op.u, op.v)};
     switch (op.kind) {
       case EdgeUpdateKind::kInsert:
+        for (const NodeId endpoint : {e.first, e.second}) {
+          if (endpoint > next_fresh) return rejected;
+          next_fresh = std::max<std::uint64_t>(next_fresh, endpoint + 1ull);
+        }
         if (op.u == op.v || present(op.u, op.v) || op.weight != 1.0) {
           return rejected;
         }

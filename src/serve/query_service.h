@@ -81,12 +81,6 @@ struct ServeOptions {
   /// ErEstimator::EnableSessionCache (0 disables session caches — every
   /// micro-batch then rebuilds its shared precomputation).
   std::size_t session_cache_bytes = 64ull << 20;
-  /// Landmark nodes warmed and pinned in every worker's session cache at
-  /// construction (ErEstimator::WarmLandmarks — enables the session
-  /// cache even when session_cache_bytes is 0). Pick with
-  /// SelectLandmarks (src/centrality/landmarks.h). Values are unchanged;
-  /// queries touching a landmark skip its precomputation.
-  std::vector<NodeId> landmarks;
 };
 
 // ServeStatus and QueryResult moved to serve/service_api.h — the
@@ -120,12 +114,12 @@ struct ServeMetrics {
   /// incremental-epochs tests assert this is > 0 when
   /// GraphEpoch::incremental workloads actually take the fast path.
   std::uint64_t incremental_rebinds = 0;
-  /// Session/landmark cache counters summed over all workers, refreshed
-  /// after every dispatched micro-batch (ErEstimator::SessionCacheStats)
+  /// Session cache counters summed over all workers, refreshed after
+  /// every dispatched micro-batch (ErEstimator::SessionCacheStats)
   /// and from Flush() when the workers are idle — so one-shot CLI runs
   /// that end on a Flush() report final cache state.
   /// hits/misses/evictions are monotone — LruByteCache keeps them across
-  /// epoch flushes; bytes/entries/pinned are current-resident gauges.
+  /// epoch flushes; bytes/entries are current-resident gauges.
   CacheStats session_cache;
   /// kExpired results broken down by DeadlineClass (indexed by its
   /// numeric value; sums to `expired`).

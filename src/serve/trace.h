@@ -39,9 +39,9 @@ std::vector<TraceEvent> ShuffleTracePayloads(std::span<const TraceEvent> trace,
 /// are drawn independently with P(rank k) ∝ (k+1)^(−exponent) over
 /// `ranking` (most popular first — e.g. SelectLandmarks output extended
 /// to all nodes), the second endpoint resampled until it differs. The
-/// skewed traffic the landmark/session caches are designed for: a few
-/// hub nodes dominate both query sides. Deterministic in `seed`
-/// (inverse-CDF over precomputed cumulative weights; library rng).
+/// skewed traffic the session caches are designed for: a few hub nodes
+/// dominate both query sides. Deterministic in `seed` (inverse-CDF over
+/// precomputed cumulative weights; library rng).
 std::vector<QueryPair> MakeZipfQueries(std::span<const NodeId> ranking,
                                        std::size_t count, double exponent,
                                        std::uint64_t seed);

@@ -1,8 +1,8 @@
-// Shared byte-budgeted LRU admission layer for the session/landmark
-// caches (SMM iterate streams, TP/TPC walk populations, EXACT/CG solver
-// columns). One template replaces the three hand-rolled per-estimator
-// LRU lists so eviction policy, byte accounting and hit/miss counters
-// behave identically everywhere.
+// Shared byte-budgeted LRU admission layer for the session caches (SMM
+// iterate streams, TP/TPC walk populations, EXACT/CG solver columns).
+// One template replaces the three hand-rolled per-estimator LRU lists
+// so eviction policy, byte accounting and hit/miss counters behave
+// identically everywhere.
 //
 // Semantics the estimators rely on:
 //   * Entries live in a std::list, so Value pointers stay stable across
@@ -11,9 +11,6 @@
 //   * Nothing evicts implicitly. GetOrCreate/Insert only add or replace;
 //     the caller invokes EvictOverBudget() at a point where it holds no
 //     entry pointers (between queries / after a group finishes).
-//   * Pinned entries (landmarks) are exempt from the byte budget and from
-//     EvictOverBudget, but NOT from EvictIf/Clear — epoch invalidation
-//     must be able to drop a stale landmark.
 //   * Clear()/eviction reset the resident gauges (bytes/entries) but the
 //     hit/miss/eviction counters are monotone for the lifetime of the
 //     cache, so ServeMetrics snapshots never move backwards across a
@@ -25,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -32,15 +30,14 @@
 namespace geer {
 
 // Counters exposed by every cache; aggregated across serve workers into
-// ServeMetrics. hits/misses/evictions are monotone; bytes/entries/pinned
-// are current-resident gauges.
+// ServeMetrics. hits/misses/evictions are monotone; bytes/entries are
+// current-resident gauges.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t bytes = 0;
   std::uint64_t entries = 0;
-  std::uint64_t pinned = 0;
 
   CacheStats& operator+=(const CacheStats& other) {
     hits += other.hits;
@@ -48,7 +45,6 @@ struct CacheStats {
     evictions += other.evictions;
     bytes += other.bytes;
     entries += other.entries;
-    pinned += other.pinned;
     return *this;
   }
 };
@@ -84,29 +80,24 @@ class LruByteCache {
   template <typename Make>
   Value* GetOrCreate(const Key& key, Make&& make) {
     if (Value* hit = Find(key)) return hit;
-    entries_.emplace_front(Entry{key, make(), /*bytes=*/0,
-                                 /*pinned=*/false});
+    entries_.emplace_front(Entry{key, make(), /*bytes=*/0});
     index_.emplace(key, entries_.begin());
     return &entries_.front().value;
   }
 
-  // Replace-or-insert with explicit byte accounting. Keeps the entry's
-  // pin state on replace unless `pinned` asks for more. Does not evict.
-  Value* Insert(const Key& key, Value value, std::size_t bytes,
-                bool pinned = false) {
+  // Replace-or-insert with explicit byte accounting. Does not evict.
+  Value* Insert(const Key& key, Value value, std::size_t bytes) {
     auto it = index_.find(key);
     if (it != index_.end()) {
       Entry& entry = *it->second;
       AccountBytes(entry, bytes);
       entry.value = std::move(value);
-      if (pinned && !entry.pinned) Pin(key);
       entries_.splice(entries_.begin(), entries_, it->second);
       return &entry.value;
     }
-    entries_.emplace_front(Entry{key, std::move(value), 0, false});
+    entries_.emplace_front(Entry{key, std::move(value), 0});
     index_.emplace(key, entries_.begin());
     AccountBytes(entries_.front(), bytes);
-    if (pinned) Pin(key);
     return &entries_.front().value;
   }
 
@@ -117,39 +108,17 @@ class LruByteCache {
     AccountBytes(*it->second, bytes);
   }
 
-  // Marks an entry budget-exempt (landmark). No-op when absent.
-  void Pin(const Key& key) {
-    auto it = index_.find(key);
-    if (it == index_.end() || it->second->pinned) return;
-    it->second->pinned = true;
-    ++pinned_count_;
-    pinned_bytes_ += it->second->bytes;
-  }
-
-  void Unpin(const Key& key) {
-    auto it = index_.find(key);
-    if (it == index_.end() || !it->second->pinned) return;
-    it->second->pinned = false;
-    --pinned_count_;
-    pinned_bytes_ -= it->second->bytes;
-  }
-
-  // Drops least-recently-used unpinned entries until the unpinned
-  // resident bytes fit the budget. Call only with no entry pointers
-  // outstanding.
+  // Drops least-recently-used entries until the resident bytes fit the
+  // budget. Call only with no entry pointers outstanding.
   void EvictOverBudget() {
-    auto it = entries_.end();
-    while (total_bytes_ - pinned_bytes_ > budget_bytes_ &&
-           it != entries_.begin()) {
-      --it;
-      if (it->pinned) continue;
-      it = Remove(it);
+    while (total_bytes_ > budget_bytes_ && !entries_.empty()) {
+      Remove(std::prev(entries_.end()));
       ++evictions_;
     }
   }
 
-  // Removes every entry (pinned included) matching pred(key, value) —
-  // the epoch-invalidation hook. Returns the number removed.
+  // Removes every entry matching pred(key, value) — the
+  // epoch-invalidation hook. Returns the number removed.
   template <typename Pred>
   std::size_t EvictIf(Pred&& pred) {
     std::size_t removed = 0;
@@ -178,8 +147,6 @@ class LruByteCache {
     entries_.clear();
     index_.clear();
     total_bytes_ = 0;
-    pinned_bytes_ = 0;
-    pinned_count_ = 0;
   }
 
   // Visits entries most- to least-recently-used.
@@ -202,7 +169,6 @@ class LruByteCache {
     s.evictions = evictions_;
     s.bytes = total_bytes_;
     s.entries = entries_.size();
-    s.pinned = pinned_count_;
     return s;
   }
 
@@ -211,21 +177,15 @@ class LruByteCache {
     Key key;
     Value value;
     std::size_t bytes = 0;
-    bool pinned = false;
   };
   using EntryList = std::list<Entry>;
 
   void AccountBytes(Entry& entry, std::size_t bytes) {
     total_bytes_ = total_bytes_ - entry.bytes + bytes;
-    if (entry.pinned) pinned_bytes_ = pinned_bytes_ - entry.bytes + bytes;
     entry.bytes = bytes;
   }
 
   typename EntryList::iterator Remove(typename EntryList::iterator it) {
-    if (it->pinned) {
-      --pinned_count_;
-      pinned_bytes_ -= it->bytes;
-    }
     total_bytes_ -= it->bytes;
     index_.erase(it->key);
     return entries_.erase(it);
@@ -235,8 +195,6 @@ class LruByteCache {
   EntryList entries_;  // front = most recently used
   std::unordered_map<Key, typename EntryList::iterator, Hash> index_;
   std::size_t total_bytes_ = 0;
-  std::size_t pinned_bytes_ = 0;
-  std::uint64_t pinned_count_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -1,14 +1,11 @@
-// The landmark/hub layer's contract suite: landmark SELECTION is a pure
-// deterministic function of the graph (+ seed) with ties broken by node
-// id; EXACT/CG answers combined from cached landmark columns are
-// BIT-IDENTICAL to direct solves (linearity — rank-one centering parts
-// cancel in the 4-term combination); warmed walk/iterate methods
-// (TP/TPC/SMM/GEER) answer bit-identically to unwarmed instances and
-// stay within the contract-test accuracy budget against the CG oracle
-// in both weight modes; the cache hit/miss counters are EXACT on a
-// scripted trace; and an epoch swap (dyn RebindGraph) invalidates
-// landmark state such that rebound-and-rewarmed answers equal a fresh
-// estimator's bit for bit.
+// Landmark selection and the session caches on hub-heavy traffic:
+// landmark SELECTION is a pure deterministic function of the graph
+// (+ seed) with ties broken by node id; EXACT/CG answers combined from
+// session-cached columns are BIT-IDENTICAL to direct solves (linearity —
+// rank-one centering parts cancel in the 4-term combination); the cache
+// hit/miss counters are EXACT on scripted traces; and an epoch swap (dyn
+// RebindGraph) invalidates session state such that rebound answers equal
+// a fresh estimator's bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -113,103 +110,43 @@ std::vector<QueryPair> MixedQueries(std::span<const NodeId> landmarks) {
           {14, 29}, {29, 14}, {a, a}, {2, 35}};
 }
 
-TEST(LandmarkCacheTest, ExactCombinedFromLandmarkColumnsBitIdentical) {
+TEST(LandmarkCacheTest, ExactCombinedFromSessionColumnsBitIdentical) {
   const Graph graph = Fixture();
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
   ExactEstimator direct(graph);  // no session cache at all
-  ExactEstimator warmed(graph);
-  EXPECT_EQ(warmed.WarmLandmarks(landmarks), landmarks.size());
-  const CacheStats after_warm = warmed.SessionCacheStats();
-  EXPECT_EQ(after_warm.pinned, landmarks.size());
-  EXPECT_EQ(after_warm.entries, landmarks.size());
-  EXPECT_GT(after_warm.bytes, 0u);
-
-  for (const QueryPair& q : MixedQueries(landmarks)) {
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
-        << "EXACT (" << q.s << "," << q.t << ")";
-    // Combination from cached columns is bitwise symmetric.
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), warmed.Estimate(q.t, q.s))
-        << "EXACT symmetric (" << q.s << "," << q.t << ")";
+  ExactEstimator cached(graph);
+  cached.EnableSessionCache();
+  // Two passes: the second combines columns the first left resident.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const QueryPair& q : MixedQueries(landmarks)) {
+      EXPECT_EQ(cached.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
+          << "EXACT (" << q.s << "," << q.t << ") pass " << pass;
+      // Combination from cached columns is bitwise symmetric.
+      EXPECT_EQ(cached.Estimate(q.s, q.t), cached.Estimate(q.t, q.s))
+          << "EXACT symmetric (" << q.s << "," << q.t << ")";
+    }
   }
+  const CacheStats s = cached.SessionCacheStats();
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(s.entries, 0u);
+  EXPECT_GT(s.bytes, 0u);
 }
 
-TEST(LandmarkCacheTest, CgCombinedFromLandmarkColumnsBitIdentical) {
+TEST(LandmarkCacheTest, CgCombinedFromSessionColumnsBitIdentical) {
   const Graph graph = Fixture();
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
   SolverEstimator direct(graph);
-  SolverEstimator warmed(graph);
-  EXPECT_EQ(warmed.WarmLandmarks(landmarks), landmarks.size());
-  for (const QueryPair& q : MixedQueries(landmarks)) {
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
-        << "CG (" << q.s << "," << q.t << ")";
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), warmed.Estimate(q.t, q.s))
-        << "CG symmetric (" << q.s << "," << q.t << ")";
-  }
-}
-
-TEST(LandmarkCacheTest, WarmedWalkMethodsBitIdenticalToUnwarmed) {
-  const Graph graph = Fixture();
-  ErOptions opt = FastOptions();
-  opt.lambda = ComputeSpectralBounds(graph).lambda;
-  const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
-  for (const std::string name : {"TP", "TPC", "SMM", "GEER"}) {
-    auto plain = CreateEstimator(name, graph, opt);
-    auto warmed = CreateEstimator(name, graph, opt);
-    ASSERT_NE(plain, nullptr) << name;
-    EXPECT_GT(warmed->WarmLandmarks(landmarks), 0u) << name;
+  SolverEstimator cached(graph);
+  cached.EnableSessionCache();
+  for (int pass = 0; pass < 2; ++pass) {
     for (const QueryPair& q : MixedQueries(landmarks)) {
-      EXPECT_EQ(warmed->Estimate(q.s, q.t), plain->Estimate(q.s, q.t))
-          << name << " (" << q.s << "," << q.t << ")";
-    }
-    // Warming is idempotent: a second warm re-pins resident entries and
-    // still changes no answers.
-    EXPECT_GT(warmed->WarmLandmarks(landmarks), 0u) << name;
-    EXPECT_EQ(warmed->Estimate(landmarks[0], 17),
-              plain->Estimate(landmarks[0], 17))
-        << name << " after re-warm";
-  }
-}
-
-TEST(LandmarkCacheTest, WarmedWalkMethodsWithinContractBoundsVsCgOracle) {
-  const Graph graph = Fixture();
-  ErOptions opt = FastOptions();
-  opt.lambda = ComputeSpectralBounds(graph).lambda;
-  const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
-  SolverEstimator oracle(graph);
-  for (const std::string name : {"TP", "TPC", "SMM", "GEER"}) {
-    auto warmed = CreateEstimator(name, graph, opt);
-    ASSERT_NE(warmed, nullptr) << name;
-    warmed->WarmLandmarks(landmarks);
-    for (const QueryPair& q :
-         {QueryPair{landmarks[0], 17}, {23, landmarks[1]}, {14, 29}}) {
-      const double truth = oracle.Estimate(q.s, q.t);
-      EXPECT_NEAR(warmed->Estimate(q.s, q.t), truth, opt.epsilon + 1e-9)
-          << name << " (" << q.s << "," << q.t << ")";
+      EXPECT_EQ(cached.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
+          << "CG (" << q.s << "," << q.t << ") pass " << pass;
+      EXPECT_EQ(cached.Estimate(q.s, q.t), cached.Estimate(q.t, q.s))
+          << "CG symmetric (" << q.s << "," << q.t << ")";
     }
   }
-}
-
-TEST(LandmarkCacheTest, WeightedWarmedMethodsWithinBoundsVsWeightedCg) {
-  const WeightedGraph graph =
-      gen::WithUniformWeights(Fixture(), 0.5, 2.0, 99);
-  ErOptions opt = FastOptions();
-  opt.lambda = ComputeWeightedSpectralBounds(graph).lambda;
-  const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
-  WeightedSolverEstimator oracle(graph);
-  for (const std::string name : {"TP", "SMM", "GEER"}) {
-    auto plain = CreateWeightedEstimator(name, graph, opt);
-    auto warmed = CreateWeightedEstimator(name, graph, opt);
-    ASSERT_NE(warmed, nullptr) << name;
-    warmed->WarmLandmarks(landmarks);
-    for (const QueryPair& q :
-         {QueryPair{landmarks[0], 17}, {23, landmarks[1]}, {14, 29}}) {
-      EXPECT_EQ(warmed->Estimate(q.s, q.t), plain->Estimate(q.s, q.t))
-          << "W-" << name << " (" << q.s << "," << q.t << ")";
-      EXPECT_NEAR(warmed->Estimate(q.s, q.t), oracle.Estimate(q.s, q.t),
-                  opt.epsilon + 1e-9)
-          << "W-" << name << " (" << q.s << "," << q.t << ")";
-    }
-  }
+  EXPECT_GT(cached.SessionCacheStats().hits, 0u);
 }
 
 // EXACT's lookup script is fully predictable: every query resolves the
@@ -218,13 +155,12 @@ TEST(LandmarkCacheTest, WeightedWarmedMethodsWithinBoundsVsWeightedCg) {
 TEST(LandmarkCacheTest, ExactHitMissCountersOnScriptedTrace) {
   const Graph graph = Fixture();
   ExactEstimator estimator(graph);
-  const std::vector<NodeId> landmarks = {0, 1};
-  estimator.WarmLandmarks(landmarks);
+  estimator.EnableSessionCache();
+  (void)estimator.Estimate(1, 0);  // both columns solved fresh
   CacheStats s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.misses, 2u);  // both landmark columns solved fresh
+  EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.pinned, 2u);
 
   (void)estimator.Estimate(0, 1);  // both endpoints warm
   s = estimator.SessionCacheStats();
@@ -241,7 +177,7 @@ TEST(LandmarkCacheTest, ExactHitMissCountersOnScriptedTrace) {
   s = estimator.SessionCacheStats();
   EXPECT_EQ(s.hits, 5u);
   EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.pinned, 2u);
+  EXPECT_EQ(s.entries, 3u);
   EXPECT_GT(s.bytes, 0u);
 }
 
@@ -280,11 +216,23 @@ TEST(LandmarkCacheTest, TpHitMissCountersOnScriptedTrace) {
   EXPECT_GT(s.bytes, 0u);
 }
 
-// Epoch swap: landmark state bound to the old graph must not leak into
-// the new epoch. After RebindGraph the rebound estimator — with its
-// landmarks lazily re-warmed — answers bit-identically to a fresh
-// estimator built on the from-scratch rebuild, for every estimator with
-// warmable state.
+// Answers `queries` through EstimateBatch — the path that reads and
+// fills every method's session cache (SMM/GEER retain iterate streams
+// only there).
+std::vector<double> BatchValues(ErEstimator& estimator,
+                                std::span<const QueryPair> queries) {
+  std::vector<QueryStats> stats(queries.size());
+  EXPECT_EQ(estimator.EstimateBatch(queries, stats), queries.size());
+  std::vector<double> values;
+  for (const QueryStats& st : stats) values.push_back(st.value);
+  return values;
+}
+
+// Epoch swap: session state bound to the old graph must not leak into
+// the new epoch. A session-enabled estimator that served hub-heavy
+// batches before and between swaps answers, after RebindGraph,
+// bit-identically to a fresh estimator built on the from-scratch
+// rebuild, for every estimator with a session cache.
 TEST(LandmarkCacheTest, EpochSwapKeepsFreshVsRebindBitIdentity) {
   const ErOptions options = FastOptions();  // no λ: rebinds re-derive it
   for (const std::string name :
@@ -294,10 +242,13 @@ TEST(LandmarkCacheTest, EpochSwapKeepsFreshVsRebindBitIdentity) {
     std::vector<decltype(snapshot)> held = {snapshot};  // graphs must live
     auto estimator = CreateEstimator(name, *snapshot->graph, options);
     ASSERT_NE(estimator, nullptr) << name;
+    estimator->EnableSessionCache();
     const std::vector<NodeId> landmarks =
         SelectLandmarks(*snapshot->graph, 5);
-    EXPECT_GT(estimator->WarmLandmarks(landmarks), 0u) << name;
-    (void)estimator->Estimate(landmarks[0], 9);  // use the warm state
+    const std::vector<QueryPair> queries = {
+        {landmarks[0], 9}, {9, landmarks[0]}, {landmarks[1], landmarks[2]},
+        {landmarks[0], landmarks[1]}, {0, 5}, {12, 28}};
+    (void)BatchValues(*estimator, queries);  // populate the session
 
     UpdateGenerator generator(dyn, 4242);
     for (int batch = 0; batch < 2; ++batch) {
@@ -310,23 +261,17 @@ TEST(LandmarkCacheTest, EpochSwapKeepsFreshVsRebindBitIdentity) {
       epoch.resized = snapshot->resized;
       ASSERT_TRUE(estimator->RebindGraph(*snapshot->graph, epoch)) << name;
       // Query between swaps so stale-yet-cached state would surface.
-      (void)estimator->Estimate(landmarks[0], 9);
+      (void)BatchValues(*estimator, queries);
     }
 
     const Graph rebuilt = dyn.BuildFromScratch();
     auto fresh = CreateEstimator(name, rebuilt, options);
-    auto fresh_warmed = CreateEstimator(name, rebuilt, options);
-    fresh_warmed->WarmLandmarks(SelectLandmarks(rebuilt, 5));
-    const QueryPair queries[] = {
-        {landmarks[0], 9}, {9, landmarks[0]}, {landmarks[1], landmarks[2]},
-        {0, 5}, {12, 28}};
-    for (const QueryPair& q : queries) {
-      const double rebound = estimator->Estimate(q.s, q.t);
-      EXPECT_EQ(rebound, fresh->Estimate(q.s, q.t))
+    const std::vector<double> rebound = BatchValues(*estimator, queries);
+    EXPECT_GT(estimator->SessionCacheStats().hits, 0u) << name;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const QueryPair& q = queries[i];
+      EXPECT_EQ(rebound[i], fresh->Estimate(q.s, q.t))
           << name << " rebind-vs-fresh (" << q.s << "," << q.t << ")";
-      EXPECT_EQ(rebound, fresh_warmed->Estimate(q.s, q.t))
-          << name << " rebind-vs-fresh-warmed (" << q.s << "," << q.t
-          << ")";
     }
   }
 }

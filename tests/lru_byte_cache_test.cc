@@ -1,10 +1,10 @@
 // Unit suite for the shared byte-budgeted LRU admission layer
-// (src/util/lru_byte_cache.h) every session/landmark cache now sits on.
-// Pins the semantics the estimators rely on: exact LRU eviction order,
-// byte accounting under replace/erase/SetBytes, pin exemption from the
-// budget (but not from EvictIf/Clear), zero-capacity and single-entry
-// edge cases, and the monotone hit/miss/eviction counters that make
-// ServeMetrics snapshots never move backwards across a graph rebind.
+// (src/util/lru_byte_cache.h) every session cache sits on. Pins the
+// semantics the estimators rely on: exact LRU eviction order, byte
+// accounting under replace/erase/SetBytes, selective EvictIf,
+// zero-capacity and single-entry edge cases, and the monotone
+// hit/miss/eviction counters that make ServeMetrics snapshots never
+// move backwards across a graph rebind.
 
 #include "util/lru_byte_cache.h"
 
@@ -108,37 +108,6 @@ TEST(LruByteCacheTest, SingleEntryLargerThanBudgetIsEvicted) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(LruByteCacheTest, PinnedEntriesAreBudgetExempt) {
-  Cache cache(30);
-  cache.Insert(1, "lm", 100, /*pinned=*/true);
-  cache.Insert(2, "a", 10);
-  cache.Insert(3, "b", 10);
-  cache.Insert(4, "c", 10);
-  cache.EvictOverBudget();
-  // Pinned bytes don't count against the budget: the 30 unpinned bytes
-  // fit, so nothing is evicted even though 130 > 30 are resident.
-  EXPECT_EQ(cache.size(), 4u);
-  cache.Insert(5, "d", 10);
-  cache.EvictOverBudget();  // now 40 unpinned — LRU unpinned entry (2) goes
-  EXPECT_EQ(cache.Peek(2), nullptr);
-  EXPECT_NE(cache.Peek(1), nullptr);
-  EXPECT_EQ(cache.stats().pinned, 1u);
-  cache.Unpin(1);
-  cache.EvictOverBudget();  // 130 resident, all unpinned → evict down to 30
-  EXPECT_EQ(cache.Peek(1), nullptr);
-  EXPECT_LE(cache.bytes(), 30u);
-}
-
-TEST(LruByteCacheTest, InsertKeepsPinUnlessAskedForMore) {
-  Cache cache(100);
-  cache.Insert(1, "lm", 10, /*pinned=*/true);
-  cache.Insert(1, "lm2", 10, /*pinned=*/false);  // replace keeps the pin
-  EXPECT_EQ(cache.stats().pinned, 1u);
-  cache.Insert(2, "a", 10, /*pinned=*/false);
-  cache.Insert(2, "a2", 10, /*pinned=*/true);  // replace may add a pin
-  EXPECT_EQ(cache.stats().pinned, 2u);
-}
-
 TEST(LruByteCacheTest, GetOrCreateStartsAtZeroBytesUntilSetBytes) {
   Cache cache(100);
   bool made = false;
@@ -172,19 +141,18 @@ TEST(LruByteCacheTest, ValuePointersSurviveOtherInsertions) {
   EXPECT_EQ(a, cache.Peek(1));
 }
 
-TEST(LruByteCacheTest, EvictIfRemovesMatchingIncludingPinned) {
+TEST(LruByteCacheTest, EvictIfRemovesExactlyTheMatchingEntries) {
   Cache cache(1000);
-  cache.Insert(1, "lm", 10, /*pinned=*/true);
-  cache.Insert(2, "a", 10);
-  cache.Insert(3, "b", 10);
-  // Rebind-style selective invalidation: keys touching {1, 3} go, pinned
-  // or not — epoch invalidation must be able to drop a stale landmark.
+  cache.Insert(1, "a", 10);
+  cache.Insert(2, "b", 10);
+  cache.Insert(3, "c", 10);
+  // Rebind-style selective invalidation: keys touching {1, 3} go.
   const std::size_t removed = cache.EvictIf(
       [](int key, const std::string&) { return key == 1 || key == 3; });
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(cache.Peek(1), nullptr);
   EXPECT_NE(cache.Peek(2), nullptr);
-  EXPECT_EQ(cache.stats().pinned, 0u);
+  EXPECT_EQ(cache.Peek(3), nullptr);
   EXPECT_EQ(cache.bytes(), 10u);
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
@@ -192,7 +160,7 @@ TEST(LruByteCacheTest, EvictIfRemovesMatchingIncludingPinned) {
 TEST(LruByteCacheTest, ClearResetsGaugesButKeepsMonotoneCounters) {
   Cache cache(20);
   (void)cache.Find(1);  // miss
-  cache.Insert(1, "a", 10, /*pinned=*/true);
+  cache.Insert(1, "a", 10);
   cache.Insert(2, "b", 10);
   cache.Insert(3, "c", 30);
   (void)cache.Find(2);  // hit
@@ -208,7 +176,6 @@ TEST(LruByteCacheTest, ClearResetsGaugesButKeepsMonotoneCounters) {
   // ...while the resident gauges reset.
   EXPECT_EQ(after.bytes, 0u);
   EXPECT_EQ(after.entries, 0u);
-  EXPECT_EQ(after.pinned, 0u);
   // And the cache is fully usable after the flush.
   cache.Insert(4, "d", 5);
   EXPECT_NE(cache.Find(4), nullptr);

@@ -265,22 +265,36 @@ TEST(NetDeterminismTest, InvalidUpdateStreamAcksFalseAndKeepsServing) {
   std::string error;
   ASSERT_TRUE(submitter.Connect(&error)) << error;
 
-  // Deleting an absent edge is a contract violation: the shard must
-  // pre-validate and ack ok=false — never abort, never half-apply.
-  ApplyUpdatesMsg msg;
-  msg.updates = {{EdgeUpdateKind::kDelete, 0, 13, 1.0}};
+  // Contract violations the shard must pre-validate and ack ok=false —
+  // never abort, never half-apply: deleting an absent edge, and inserts
+  // whose far endpoint would wrap the node count (0xFFFFFFFF + 1 == 0)
+  // or size the CSR for 2^31 nodes.
   ASSERT_FALSE(graph.HasEdge(0, 13));
-  ApplyUpdatesAckMsg ack;
-  ASSERT_TRUE(submitter.ApplyUpdates(msg, &ack, &error)) << error;
-  EXPECT_FALSE(ack.ok);
-  EXPECT_EQ(ack.epoch, 0u);
+  const std::vector<EdgeUpdate> invalid = {
+      {EdgeUpdateKind::kDelete, 0, 13, 1.0},
+      {EdgeUpdateKind::kInsert, 0, 0xFFFFFFFFu, 1.0},
+      {EdgeUpdateKind::kInsert, 0, NodeId{1} << 31, 1.0},
+  };
+  for (const EdgeUpdate& update : invalid) {
+    const std::string label = "update (" + std::to_string(update.u) +
+                              ", " + std::to_string(update.v) + ")";
+    ApplyUpdatesMsg msg;
+    msg.updates = {update};
+    ApplyUpdatesAckMsg ack;
+    ASSERT_TRUE(submitter.ApplyUpdates(msg, &ack, &error))
+        << label << ": " << error;
+    EXPECT_FALSE(ack.ok) << label;
+    EXPECT_EQ(ack.epoch, 0u) << label;
 
-  // The cluster still serves epoch 0, bit-identical to the truth.
-  const auto got = SubmitAll(submitter, queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(got[i].status, ServeStatus::kAnswered) << "query " << i;
-    EXPECT_EQ(got[i].stats.value, want[i].stats.value) << "query " << i;
-    EXPECT_EQ(got[i].epoch, 0u);
+    // The cluster still serves epoch 0, bit-identical to the truth.
+    const auto got = SubmitAll(submitter, queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(got[i].status, ServeStatus::kAnswered)
+          << label << ", query " << i;
+      EXPECT_EQ(got[i].stats.value, want[i].stats.value)
+          << label << ", query " << i;
+      EXPECT_EQ(got[i].epoch, 0u) << label << ", query " << i;
+    }
   }
   submitter.Close();
 }

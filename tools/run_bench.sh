@@ -28,8 +28,10 @@
 #                          gated off (check_bench.sh warns above 2%)
 #   bench_landmark_serve   --csv --scale=0.1 --seed=1 --queries=512, run 3×
 #                          best-of like serve_throughput — the landmark/
-#                          series whose landmark-vs-off throughput ratio
-#                          is a PR acceptance gate
+#                          series: session caches off vs on over one Zipf
+#                          trace (the name predates the removal of the
+#                          landmark warm-up mode; kept so the trajectory
+#                          continues)
 #   bench_net_throughput   --csv --scale=0.1 --seed=1 --rounds=4, run 3×
 #                          best-of — in-process vs loopback 2-shard+router
 #                          serving on one Zipf trace; emits the
@@ -243,7 +245,8 @@ awk -F, -v threads="$BENCH_THREADS" 'NR > 1 {
 
 # landmark_serve: method,dataset,epsilon,mode,queries,throughput_qps,
 #                 p50_ms,p95_ms,p99_ms,hit_rate,ms_per_q — the landmark/
-#                 trajectory CI gates (throughput per mode + hit rate).
+#                 trajectory CI gates (throughput per off/session mode +
+#                 the session hit rate).
 awk -F, -v threads="$BENCH_THREADS" 'NR > 1 {
   printf "{\"method\": \"%s\", \"metric\": \"landmark/%s/%s/throughput_qps\", \"value\": %s, \"threads\": %s}\n",
          $1, $2, $4, $6, threads
