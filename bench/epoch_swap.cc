@@ -1,14 +1,11 @@
-// Epoch-swap latency bench: quantifies the incremental spectral
-// maintenance claim — with GraphEpoch::incremental, swapping a
-// small-touch epoch into a bound estimator is O(touched)-ish, not
-// O(graph).
+// Epoch-swap latency bench: times RebindGraph of a small-touch epoch
+// into a bound estimator, with and without GraphEpoch::incremental.
 //
 //  1. λ-dominated rebinds (SMM, which rederives λ on every swap): for
 //     touch fractions of ~0.1% / 1% of m, commit a generated update
-//     batch and time RebindGraph in `full` mode (no holder: private
-//     cold Lanczos per swap, the pre-incremental behavior) vs `incr`
-//     mode (shared spectral holder carried across epochs: warm-started
-//     Lanczos seeded from the previous epoch's Ritz vectors).
+//     batch and time RebindGraph in `full` and `incr` mode. λ is always
+//     the cold certified Lanczos run, so both modes time the same work;
+//     the pair stays as a check that the flag costs nothing here.
 //
 //  2. Factor-dominated rebinds (EXACT): same sweep, `full` = fresh
 //     O(n³) Cholesky per swap vs `incr` = rank-1 update/downdate per
@@ -19,8 +16,7 @@
 // CSV rows: metric,dataset,param,value — consumed by tools/run_bench.sh
 // into the BENCH_pr<N>.json perf trajectory (dyn/<ds>/<param>/swap_ms,
 // lower is better; dyn/<ds>/<param>/swap_speedup = full/incr, higher is
-// better). One warm-up epoch precedes the timed rounds in both modes so
-// `incr` never charges its first (necessarily cold) swap.
+// better). One warm-up epoch precedes the timed rounds in both modes.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,7 +27,6 @@
 
 #include "core/exact.h"
 #include "core/smm.h"
-#include "core/spectral_epoch.h"
 #include "dyn/dynamic_graph.h"
 #include "eval/datasets.h"
 #include "util/check.h"
@@ -57,30 +52,25 @@ void Emit(const Args& args, const char* metric, const char* dataset,
   }
 }
 
-GraphEpoch EpochInfo(const DynSnapshot& snapshot, bool incremental,
-                     const std::shared_ptr<EpochShared<EpochSpectral>>& sp) {
+GraphEpoch EpochInfo(const DynSnapshot& snapshot, bool incremental) {
   GraphEpoch epoch;
   epoch.epoch = snapshot.epoch;
   epoch.touched = std::span<const NodeId>(snapshot.touched);
   epoch.resized = snapshot.resized;
   epoch.incremental = incremental;
-  epoch.spectral = sp;
   return epoch;
 }
 
 // Replays `rounds`+1 identical-seeded update epochs against a fresh
 // estimator and returns the best post-warm-up swap latency. The factory
 // builds the estimator on the initial snapshot; `incremental` selects
-// the maintenance mode (and, for λ-readers, attaches a cross-epoch
-// spectral holder).
+// the maintenance mode.
 template <typename MakeEstimator>
 double TimeSwaps(const Args& args, const Graph& base, double frac,
-                 bool incremental, bool attach_spectral,
-                 MakeEstimator&& make) {
+                 bool incremental, MakeEstimator&& make) {
   DynamicGraph dyn{Graph(base)};
   auto snapshot = dyn.Current();
   auto estimator = make(*snapshot->graph);
-  auto spectral = attach_spectral ? MakeSharedSpectral() : nullptr;
   UpdateGenerator generator(dyn, args.seed ^ 0x5a5a);
   const std::size_t count = std::max<std::size_t>(
       static_cast<std::size_t>(frac * static_cast<double>(base.NumEdges())),
@@ -92,7 +82,7 @@ double TimeSwaps(const Args& args, const Graph& base, double frac,
     // CSR rows against the new ones to derive its rank-1 updates.
     auto prev = snapshot;
     snapshot = dyn.Commit();
-    const GraphEpoch epoch = EpochInfo(*snapshot, incremental, spectral);
+    const GraphEpoch epoch = EpochInfo(*snapshot, incremental);
     Timer timer;
     GEER_CHECK(estimator->RebindGraph(*snapshot->graph, epoch));
     const double ms = timer.ElapsedMillis();
@@ -103,13 +93,12 @@ double TimeSwaps(const Args& args, const Graph& base, double frac,
 
 template <typename MakeEstimator>
 void BenchMode(const Args& args, const char* dataset, const char* name,
-               const Graph& base, bool attach_spectral, MakeEstimator&& make) {
+               const Graph& base, MakeEstimator&& make) {
   for (const double frac : {0.001, 0.01}) {
-    const double full =
-        TimeSwaps(args, base, frac, /*incremental=*/false,
-                  /*attach_spectral=*/false, make);
+    const double full = TimeSwaps(args, base, frac, /*incremental=*/false,
+                                  make);
     const double incr = TimeSwaps(args, base, frac, /*incremental=*/true,
-                                  attach_spectral, make);
+                                  make);
     char param[64];
     std::snprintf(param, sizeof(param), "%s_touch%g%%_full", name,
                   frac * 100.0);
@@ -173,12 +162,9 @@ int Main(int argc, char** argv) {
   GEER_CHECK(facebook.has_value());
   auto dblp = MakeDataset("dblp", args.scale);
   GEER_CHECK(dblp.has_value());
-  BenchMode(args, "facebook", "smm", facebook->graph,
-            /*attach_spectral=*/true, make_smm);
-  BenchMode(args, "dblp", "smm", dblp->graph, /*attach_spectral=*/true,
-            make_smm);
-  BenchMode(args, "facebook", "exact", facebook->graph,
-            /*attach_spectral=*/false, make_exact);
+  BenchMode(args, "facebook", "smm", facebook->graph, make_smm);
+  BenchMode(args, "dblp", "smm", dblp->graph, make_smm);
+  BenchMode(args, "facebook", "exact", facebook->graph, make_exact);
   return 0;
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/ell.h"
-#include "core/spectral_epoch.h"
 #include "linalg/spectral.h"
 #include "stats/accumulator.h"
 #include "stats/bounds.h"
@@ -118,9 +117,9 @@ bool AmcEstimatorT<WP>::RebindGraph(const GraphT& graph,
   walker_ = WalkerFor<WP>(graph);
   // λ belongs to the graph, not the options: a stale construction-time
   // (or clone-baked) value would change walk lengths vs a fresh build.
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
+  lambda_ = epoch.lambda.has_value()
+                ? *epoch.lambda
+                : ComputeSpectralBoundsT<WP>(graph).lambda;
   svec_.assign(graph.NumNodes(), 0.0);
   tvec_.assign(graph.NumNodes(), 0.0);
   return true;

@@ -98,10 +98,6 @@ class AmcEstimatorT : public ErEstimator {
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
-  std::uint64_t IncrementalRebinds() const override {
-    return incremental_rebinds_.load(std::memory_order_relaxed);
-  }
-
   double lambda() const { return lambda_; }
 
  private:
@@ -111,7 +107,6 @@ class AmcEstimatorT : public ErEstimator {
   WalkerFor<WP> walker_;
   Vector svec_;  // reusable one-hot buffers
   Vector tvec_;
-  std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 
 /// The two stacks, by their historical names.

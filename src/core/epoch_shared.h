@@ -40,8 +40,8 @@ class EpochShared {
   /// Like GetOrBuild, but the builder receives the PREVIOUS epoch's value
   /// (possibly null) — the incremental-maintenance hook: the first
   /// rebinder of an epoch derives the new value from the old one (rank-k
-  /// factor update, warm-started Lanczos) instead of from scratch, and
-  /// every other clone adopts the result.
+  /// factor update) instead of from scratch, and every other clone adopts
+  /// the result.
   template <typename UpdateFn>
   std::shared_ptr<const T> GetOrUpdate(std::uint64_t epoch,
                                        UpdateFn&& update) {

@@ -22,9 +22,6 @@ namespace geer {
 
 class Deadline;
 class WeightedGraph;
-template <typename T>
-class EpochShared;
-struct EpochSpectral;
 
 /// Describes one published epoch of a dynamic graph (src/dyn/) for
 /// ErEstimator::RebindGraph. `touched` must cover every vertex whose CSR
@@ -42,32 +39,24 @@ struct GraphEpoch {
   /// flush wholesale regardless of `touched`.
   bool resized = false;
   /// Precomputed λ = max(|λ₂|, |λ_n|) for the NEW graph. When absent,
-  /// estimators that read λ re-run the Lanczos preprocessing themselves
-  /// (deterministic, so every worker converges to the same value — just
-  /// slower than computing it once per epoch).
+  /// estimators that read λ re-run the cold Lanczos preprocessing
+  /// themselves (deterministic, so every worker derives the same value —
+  /// just slower than computing it once per epoch).
   std::optional<double> lambda;
-  /// Opt-in incremental maintenance: estimators may derive the new
-  /// epoch's numerical state from the previous epoch's instead of
-  /// rebuilding cold — warm-started Lanczos for λ, rank-k-updated
-  /// Cholesky factors for EXACT. Answers may then drift from a freshly
-  /// constructed estimator within the documented tolerances (README
-  /// "Incremental epochs"); leave false for the strict bit-identity
-  /// contract. Structurally exact incremental paths (CG's touched-row
-  /// Jacobi refresh, TP/TPC visit-set retention) are always on — they
-  /// are bit-identical by construction. Lifetime: the first rebinder of
-  /// an incremental epoch diffs the PREVIOUS graph's CSR rows against
-  /// the new ones, so the caller must keep the outgoing graph alive
-  /// until RebindGraph returns (the serving tier does this by retaining
-  /// the old snapshot until the swap completes).
+  /// Opt-in incremental maintenance: EXACT derives the new epoch's
+  /// Cholesky factor from the previous one by rank-1 updates instead of
+  /// refactorizing, so its answers may drift from a freshly constructed
+  /// estimator within the documented tolerance (README "Incremental
+  /// epochs"); leave false for the strict bit-identity contract. λ is
+  /// always derived cold, whatever this flag says. Structurally exact
+  /// incremental paths (CG's touched-row Jacobi refresh, TP/TPC
+  /// visit-set retention) are always on — they are bit-identical by
+  /// construction. Lifetime: the first rebinder of an incremental epoch
+  /// diffs the PREVIOUS graph's CSR rows against the new ones, so the
+  /// caller must keep the outgoing graph alive until RebindGraph returns
+  /// (the serving tier does this by retaining the old snapshot until the
+  /// swap completes).
   bool incremental = false;
-  /// Optional caller-owned per-epoch spectral holder, shared across all
-  /// clones rebound with this epoch (and across epochs by the caller —
-  /// it carries the warm state). Estimators that read λ and find
-  /// `lambda` absent compute it through this holder once per epoch:
-  /// warm-started when `incremental`, cold (bit-identical to a fresh
-  /// construction) otherwise. Null ⇒ each estimator re-runs Lanczos
-  /// privately, as before.
-  std::shared_ptr<EpochShared<EpochSpectral>> spectral;
 };
 
 /// A single PER query (s, t).
@@ -263,7 +252,7 @@ class ErEstimator {
   /// success the estimator answers every subsequent query bit-identically
   /// to a freshly constructed estimator on `graph` with the construction
   /// options (λ is re-derived for the new graph: from epoch.lambda when
-  /// provided, else by re-running Lanczos). Construction-time
+  /// provided, else by a cold Lanczos run). Construction-time
   /// preprocessing is rebuilt as needed — EXACT/CG/RP rebuild their
   /// factorization/solver/sketch once per epoch across every clone
   /// sharing it — while session caches are invalidated selectively:
@@ -292,11 +281,11 @@ class ErEstimator {
   }
 
   /// Number of RebindGraph calls on this instance that reused previous-
-  /// epoch state instead of rebuilding it cold: a warm-started λ, an
-  /// incrementally updated factor/solver, or selective (visit-set)
-  /// session retention. Monotone; the serving layer sums it per worker
-  /// into ServeMetrics.incremental_rebinds so tests can assert the
-  /// incremental path is actually exercised.
+  /// epoch state instead of rebuilding it cold: an incrementally updated
+  /// factor/solver, or selective (visit-set) session retention.
+  /// Monotone; the serving layer sums it per worker into
+  /// ServeMetrics.incremental_rebinds so tests can assert the incremental
+  /// path is actually exercised.
   virtual std::uint64_t IncrementalRebinds() const { return 0; }
 };
 

@@ -8,7 +8,6 @@
 #include "core/amc.h"
 #include "core/ell.h"
 #include "core/smm.h"
-#include "core/spectral_epoch.h"
 #include "linalg/spectral.h"
 #include "stats/bounds.h"
 #include "util/check.h"
@@ -42,9 +41,9 @@ bool GeerEstimatorT<WP>::RebindGraph(const GraphT& graph,
   op_ = TransitionOperatorT<WP>(graph);  // stable address: retained
                                          // session caches keep their op_
   walker_ = WalkerFor<WP>(graph);
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
+  lambda_ = epoch.lambda.has_value()
+                ? *epoch.lambda
+                : ComputeSpectralBoundsT<WP>(graph).lambda;
   if (session_ != nullptr) session_->Rebind(graph, epoch);
   return true;
 }

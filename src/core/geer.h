@@ -86,10 +86,6 @@ class GeerEstimatorT : public ErEstimator {
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
-  std::uint64_t IncrementalRebinds() const override {
-    return incremental_rebinds_.load(std::memory_order_relaxed);
-  }
-
   double lambda() const { return lambda_; }
 
   /// Compat spelling of GeerRemainingSampleBudget.
@@ -109,7 +105,6 @@ class GeerEstimatorT : public ErEstimator {
   TransitionOperatorT<WP> op_;
   WalkerFor<WP> walker_;
   std::unique_ptr<SmmSessionCacheT<WP>> session_;
-  std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 
 /// The two stacks, by their historical names.

@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "core/ell.h"
-#include "core/spectral_epoch.h"
+#include "linalg/spectral.h"
 #include "util/check.h"
 
 namespace geer {
@@ -210,9 +210,9 @@ bool SmmEstimatorT<WP>::RebindGraph(const GraphT& graph,
   graph_ = &graph;
   op_ = TransitionOperatorT<WP>(graph);  // member address is stable, so
                                          // retained caches keep their op_
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
+  lambda_ = epoch.lambda.has_value()
+                ? *epoch.lambda
+                : ComputeSpectralBoundsT<WP>(graph).lambda;
   if (session_ != nullptr) session_->Rebind(graph, epoch);
   return true;
 }

@@ -314,10 +314,6 @@ class SmmEstimatorT : public ErEstimator {
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
-  std::uint64_t IncrementalRebinds() const override {
-    return incremental_rebinds_.load(std::memory_order_relaxed);
-  }
-
   /// λ in use (from options or computed at construction).
   double lambda() const { return lambda_; }
 
@@ -331,7 +327,6 @@ class SmmEstimatorT : public ErEstimator {
   double lambda_;
   TransitionOperatorT<WP> op_;
   std::unique_ptr<SmmSessionCacheT<WP>> session_;
-  std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 
 /// The two stacks, by their historical names.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/ell.h"
-#include "core/spectral_epoch.h"
 #include "linalg/spectral.h"
 #include "util/check.h"
 
@@ -85,9 +84,9 @@ bool TpEstimatorT<WP>::RebindGraph(const GraphT& graph,
   graph_ = &graph;
   walker_ = WalkerFor<WP>(graph);
   bool incremental = false;
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  incremental = warm;
+  lambda_ = epoch.lambda.has_value()
+                ? *epoch.lambda
+                : ComputeSpectralBoundsT<WP>(graph).lambda;
   const std::uint32_t new_ell =
       PengEll(options_.epsilon, lambda_, options_.max_ell);
   if (session_ != nullptr) {

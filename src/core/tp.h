@@ -143,14 +143,14 @@ class TpEstimatorT : public ErEstimator {
   }
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
-  /// sampler, and re-derives λ (through epoch.spectral when attached —
-  /// warm-started when epoch.incremental). Session populations are
-  /// invalidated SELECTIVELY: each records the rows its walks stepped
-  /// from (VisitFilter), and only populations whose visit set intersects
-  /// epoch.touched are evicted — bit-identical retention, because the
-  /// per-node walk streams are content-addressed by (seed, node) and an
-  /// untouched row replays the exact same steps. A λ change that alters
-  /// the walk schedule (ℓ, η) or a resize still flushes wholesale.
+  /// sampler, and re-derives λ (epoch.lambda or a cold Lanczos run).
+  /// Session populations are invalidated SELECTIVELY: each records the
+  /// rows its walks stepped from (VisitFilter), and only populations
+  /// whose visit set intersects epoch.touched are evicted — bit-identical
+  /// retention, because the per-node walk streams are content-addressed
+  /// by (seed, node) and an untouched row replays the exact same steps. A
+  /// λ change that alters the walk schedule (ℓ, η) or a resize still
+  /// flushes wholesale.
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
@@ -206,8 +206,8 @@ class TpEstimatorT : public ErEstimator {
   // from a retained row) and doubles as the session recorder.
   std::vector<std::uint32_t> hist_count_;
   std::vector<NodeId> hist_touched_;
-  // RebindGraph calls that reused previous-epoch state (warm λ and/or
-  // selective session retention). Atomic: serve workers may read the
+  // RebindGraph calls that kept session populations by selective
+  // visit-set retention. Atomic: serve workers may read the
   // metric while another thread rebinds.
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };

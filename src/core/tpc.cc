@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/ell.h"
-#include "core/spectral_epoch.h"
 #include "linalg/spectral.h"
 #include "util/check.h"
 
@@ -67,9 +66,10 @@ bool TpcEstimatorT<WP>::RebindGraph(const GraphT& graph,
                                     const GraphEpoch& epoch) {
   graph_ = &graph;
   walker_ = WalkerFor<WP>(graph);
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  bool incremental = warm;
+  lambda_ = epoch.lambda.has_value()
+                ? *epoch.lambda
+                : ComputeSpectralBoundsT<WP>(graph).lambda;
+  bool incremental = false;
   count_a_.assign(graph.NumNodes(), 0);
   count_b_.assign(graph.NumNodes(), 0);
   touched_.clear();

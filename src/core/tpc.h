@@ -159,14 +159,13 @@ class TpcEstimatorT : public ErEstimator {
   }
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
-  /// sampler, and re-derives λ (through epoch.spectral when attached —
-  /// warm-started when epoch.incremental). Session populations are
-  /// invalidated SELECTIVELY via their recorded visit sets: populations
-  /// are prefix-pure (recorded snapshots stay valid at any (length,
-  /// walk-count) prefix even when λ changes the schedule — the schedule
-  /// only decides how far queries read or extend), so only populations
-  /// whose walks stepped from a touched row are evicted. A resize still
-  /// flushes wholesale.
+  /// sampler, and re-derives λ (epoch.lambda or a cold Lanczos run).
+  /// Session populations are invalidated SELECTIVELY via their recorded
+  /// visit sets: populations are prefix-pure (recorded snapshots stay
+  /// valid at any (length, walk-count) prefix even when λ changes the
+  /// schedule — the schedule only decides how far queries read or
+  /// extend), so only populations whose walks stepped from a touched row
+  /// are evicted. A resize still flushes wholesale.
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
@@ -253,8 +252,8 @@ class TpcEstimatorT : public ErEstimator {
   std::vector<std::uint32_t> count_a_;
   std::vector<std::uint32_t> count_b_;
   std::vector<NodeId> touched_;
-  // RebindGraph calls that reused previous-epoch state (warm λ and/or
-  // selective session retention). Atomic: serve workers may read the
+  // RebindGraph calls that kept session populations by selective
+  // visit-set retention. Atomic: serve workers may read the
   // metric while another thread rebinds.
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };

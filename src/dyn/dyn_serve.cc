@@ -11,15 +11,13 @@ namespace geer {
 template <WeightPolicy WP>
 std::future<bool> ApplyEpochUpdate(
     QueryService& service, std::shared_ptr<const DynSnapshotT<WP>> snapshot,
-    std::optional<double> lambda, bool incremental,
-    std::shared_ptr<EpochShared<EpochSpectral>> spectral) {
+    std::optional<double> lambda, bool incremental) {
   GEER_CHECK(snapshot != nullptr && snapshot->graph != nullptr);
   const std::uint64_t epoch = snapshot->epoch;
   // The rebinder captures the snapshot, so the touched span and the graph
   // stay alive for the duration of every worker rebind; keep_alive then
   // pins them for as long as the service answers on this epoch.
-  auto rebind = [snapshot, lambda, incremental,
-                 spectral = std::move(spectral)](ErEstimator& estimator) {
+  auto rebind = [snapshot, lambda, incremental](ErEstimator& estimator) {
     obs::Span rebind_span("rebind");
     rebind_span.Arg("epoch", snapshot->epoch);
     rebind_span.Arg("touched", snapshot->touched.size());
@@ -31,7 +29,6 @@ std::future<bool> ApplyEpochUpdate(
     info.resized = snapshot->resized;
     info.lambda = lambda;
     info.incremental = incremental;
-    info.spectral = spectral;
     const std::uint64_t start = obs::NowNs();
     const bool ok = estimator.RebindGraph(*snapshot->graph, info);
     obs::Registry::Global().RecordNs(rebind_ns, obs::NowNs() - start);
@@ -43,9 +40,9 @@ std::future<bool> ApplyEpochUpdate(
 
 template std::future<bool> ApplyEpochUpdate<UnitWeight>(
     QueryService&, std::shared_ptr<const DynSnapshotT<UnitWeight>>,
-    std::optional<double>, bool, std::shared_ptr<EpochShared<EpochSpectral>>);
+    std::optional<double>, bool);
 template std::future<bool> ApplyEpochUpdate<EdgeWeight>(
     QueryService&, std::shared_ptr<const DynSnapshotT<EdgeWeight>>,
-    std::optional<double>, bool, std::shared_ptr<EpochShared<EpochSpectral>>);
+    std::optional<double>, bool);
 
 }  // namespace geer

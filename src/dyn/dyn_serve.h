@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/spectral_epoch.h"
 #include "dyn/dynamic_graph.h"
 #include "serve/query_service.h"
 
@@ -23,28 +22,23 @@ namespace geer {
 /// Lanczos preprocessing runs once per epoch instead of once per worker;
 /// leave it empty otherwise (or to let each worker recompute).
 /// `incremental` opts the swap into the incremental maintenance paths
-/// (GraphEpoch::incremental — warm-started λ, rank-1-updated factors;
-/// answers may drift within the documented tolerances, see README
-/// "Incremental epochs"); `spectral` is the caller-owned cross-epoch
-/// spectral holder (core/spectral_epoch.h MakeSharedSpectral) that both
-/// shares the per-epoch Lanczos run across workers and carries the warm
-/// state between epochs — pass the SAME holder for every swap of one
-/// service. See QueryService::ApplyUpdates for the barrier semantics;
+/// (GraphEpoch::incremental — EXACT's rank-1-updated factor; answers may
+/// drift within the documented tolerance, see README "Incremental
+/// epochs"). See QueryService::ApplyUpdates for the barrier semantics;
 /// the returned future resolves true once every worker serves the new
 /// epoch.
 template <WeightPolicy WP>
 std::future<bool> ApplyEpochUpdate(
     QueryService& service,
     std::shared_ptr<const DynSnapshotT<WP>> snapshot,
-    std::optional<double> lambda = std::nullopt, bool incremental = false,
-    std::shared_ptr<EpochShared<EpochSpectral>> spectral = nullptr);
+    std::optional<double> lambda = std::nullopt, bool incremental = false);
 
 extern template std::future<bool> ApplyEpochUpdate<UnitWeight>(
     QueryService&, std::shared_ptr<const DynSnapshotT<UnitWeight>>,
-    std::optional<double>, bool, std::shared_ptr<EpochShared<EpochSpectral>>);
+    std::optional<double>, bool);
 extern template std::future<bool> ApplyEpochUpdate<EdgeWeight>(
     QueryService&, std::shared_ptr<const DynSnapshotT<EdgeWeight>>,
-    std::optional<double>, bool, std::shared_ptr<EpochShared<EpochSpectral>>);
+    std::optional<double>, bool);
 
 }  // namespace geer
 

@@ -80,11 +80,6 @@ DynamicWorkloadResult RunDynamicWorkload(
 
   Timer wall;
   const auto start = std::chrono::steady_clock::now();
-  // Cross-epoch spectral holder for incremental replays: shares the
-  // once-per-epoch Lanczos run across workers AND carries the Ritz
-  // vectors that warm-start the next epoch's run.
-  std::shared_ptr<EpochShared<EpochSpectral>> spectral =
-      incremental_epochs && reads_lambda ? MakeSharedSpectral() : nullptr;
   {
     QueryService service(*estimator, serve_options);
     result.workers = service.workers();
@@ -110,16 +105,12 @@ DynamicWorkloadResult RunDynamicWorkload(
       for (const EdgeUpdate& op : event.updates) graph.Apply(op);
       auto snapshot = graph.Commit();
       const double commit_ms = commit_timer.ElapsedMillis();
-      // Incremental mode leaves λ to the shared holder (warm-started by
-      // the first rebinding worker, O(touched)-friendly); the default
-      // precomputes it cold here so answers stay bit-identical.
+      // λ is derived cold here, once per epoch and before the barrier,
+      // whatever incremental_epochs says.
       Timer swap_timer;
       std::future<bool> swapped = ApplyEpochUpdate<WP>(
-          service, snapshot,
-          incremental_epochs
-              ? std::nullopt
-              : EpochLambda<WP>(*snapshot->graph, reads_lambda),
-          incremental_epochs, spectral);
+          service, snapshot, EpochLambda<WP>(*snapshot->graph, reads_lambda),
+          incremental_epochs);
       const bool ok = swapped.get();
       GEER_CHECK(ok) << "epoch swap failed for " << method;
       DynEpochStats& stats = epochs[snapshot->epoch];

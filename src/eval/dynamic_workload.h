@@ -76,8 +76,8 @@ struct DynamicWorkloadResult {
   double throughput_qps = 0.0;  ///< answered / wall
   int workers = 1;
   /// Final ServeMetrics.incremental_rebinds snapshot: worker rebinds
-  /// that reused previous-epoch state (only ever > 0 when the replay ran
-  /// with incremental_epochs, or for the always-on exact paths).
+  /// that reused previous-epoch state (EXACT's rank-1 path when the
+  /// replay ran with incremental_epochs, or the always-on exact paths).
   std::uint64_t incremental_rebinds = 0;
 
   /// One entry per epoch the replay served (epoch 0 first), in order.
@@ -97,12 +97,11 @@ struct DynamicWorkloadResult {
 /// computed for methods that read it, so every answer is bit-identical
 /// to a from-scratch estimator on that epoch's snapshot — UNLESS
 /// `incremental_epochs` is set, which opts every swap into the
-/// incremental maintenance paths (GraphEpoch::incremental: warm-started
-/// Lanczos carried across epochs via a shared spectral holder,
-/// rank-1-updated factors). Swaps are then O(touched) instead of
-/// O(graph) but answers may drift within the documented tolerances
-/// (README "Incremental epochs"). realtime=false replays back-to-back
-/// (determinism suites, max-throughput benches).
+/// incremental maintenance paths (GraphEpoch::incremental: EXACT's
+/// rank-1-updated factor, whose answers may drift within the documented
+/// tolerance, README "Incremental epochs"). λ stays the cold per-epoch
+/// value either way. realtime=false replays back-to-back (determinism
+/// suites, max-throughput benches).
 template <WeightPolicy WP>
 DynamicWorkloadResult RunDynamicWorkload(
     DynamicGraphT<WP>& graph, const std::string& method,

@@ -1,6 +1,21 @@
 // Lanczos iteration with full reorthogonalization for extreme eigenvalues
 // of a symmetric operator. This replaces the paper's ARPACK dependency for
 // the λ = max(|λ₂|, |λ_n|) preprocessing step (§3.1).
+//
+// The run stops on a certificate, not a budget. For a Ritz pair (θ, y = V·s)
+// of the k-step tridiagonal T_k, ‖Op·y − θ·y‖ = β_k·|e_kᵀs|, so some
+// eigenvalue of the operator lies within that residual bound of θ. The
+// run ends once both extreme Ritz pairs have a residual bound at most
+// `tolerance`·max(1, |θ|); a breakdown (β_k = 0, an invariant subspace)
+// is the zero-residual case of the same rule. Callers pad the Ritz
+// extremes outward by their residual bounds.
+//
+// Assumption: the seeded random start vector has a non-negligible
+// component along each extreme eigenvector. The certificate says an
+// eigenvalue lies near θ; it cannot say that a larger one was never seen
+// by the Krylov space. This holds with probability 1 over the start
+// vector, and a fixed-budget run rests on the same assumption.
+// Kuczyński & Woźniakowski (SIMAX 1992) quantify the random-start case.
 
 #ifndef GEER_LINALG_LANCZOS_H_
 #define GEER_LINALG_LANCZOS_H_
@@ -14,46 +29,25 @@ namespace geer {
 
 /// Options controlling the Lanczos run.
 struct LanczosOptions {
-  int max_iterations = 200;   ///< Krylov dimension cap
-  double tolerance = 1e-10;   ///< residual/beta breakdown tolerance
-  std::uint64_t seed = 42;    ///< deterministic start vector
-  /// When non-null and non-empty, the start vector is the (deflated,
-  /// normalized) SUM of these vectors instead of the seeded random
-  /// vector — the warm-start hook for incremental epoch maintenance,
-  /// where the previous epoch's extreme Ritz vectors are excellent
-  /// starts for the perturbed operator. Vectors whose dimension does
-  /// not match, or whose deflated sum is numerically zero, fall back
-  /// to the deterministic seeded cold start.
-  const std::vector<Vector>* warm_start = nullptr;
-  /// Ritz-value stagnation early exit (0 disables). When positive, each
-  /// iteration past a small minimum solves the values-only tridiagonal
-  /// problem (O(k²), cheap next to the O(k·dim) reorthogonalization) and
-  /// stops once BOTH extreme Ritz values moved by less than this
-  /// relative tolerance since the previous iteration. Intended for the
-  /// warm-started spectral path, where a near-eigenvector start
-  /// converges the extremes in a handful of iterations; cold runs leave
-  /// it 0 so their fixed Krylov budget — and hence every bit of the
-  /// returned eigenvalues — is unchanged.
-  double stagnation_tolerance = 0.0;
-  /// Also return the Ritz VECTORS of the extreme Ritz values (costs one
-  /// k×k eigenvector accumulation plus two basis combinations). The
-  /// returned eigenVALUES are bit-identical either way.
-  bool want_ritz_vectors = false;
+  int max_iterations = 200;  ///< Krylov dimension cap (safety net)
+  double tolerance = 1e-10;  ///< relative residual bound that certifies
+  std::uint64_t seed = 42;   ///< deterministic start vector
 };
 
 /// Result: extreme Ritz values of the operator restricted to the subspace
-/// orthogonal to the supplied deflation vectors.
+/// orthogonal to the supplied deflation vectors, with their residual
+/// bounds. Under the header's start-vector assumption the extreme
+/// eigenvalues lie in [min_eigenvalue − min_residual, min_eigenvalue] and
+/// [max_eigenvalue, max_eigenvalue + max_residual].
 struct LanczosResult {
-  double max_eigenvalue = 0.0;  ///< largest Ritz value
-  double min_eigenvalue = 0.0;  ///< smallest Ritz value
+  double max_eigenvalue = 0.0;  ///< largest Ritz value θ_max
+  double min_eigenvalue = 0.0;  ///< smallest Ritz value θ_min
+  double max_residual = 0.0;    ///< β_k·|e_kᵀs| of θ_max's Ritz pair
+  double min_residual = 0.0;    ///< β_k·|e_kᵀs| of θ_min's Ritz pair
   int iterations = 0;           ///< Krylov dimension actually built
+  /// Both residual bounds met the tolerance. False when the iteration
+  /// cap ended the run; the residual bounds still hold, only wider.
   bool converged = false;
-  bool warm_started = false;    ///< start vector came from warm_start
-  /// Ritz vectors for the extreme Ritz values, in operator coordinates;
-  /// empty unless options.want_ritz_vectors and the Krylov space is
-  /// non-trivial.
-  Vector max_ritz_vector;
-  Vector min_ritz_vector;
 };
 
 /// Runs Lanczos on the symmetric operator `apply` (y ← Op·x) of dimension

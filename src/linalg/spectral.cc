@@ -2,15 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/jacobi_eigen.h"
 #include "linalg/lanczos.h"
 #include "linalg/transition.h"
-#include "rw/rng.h"
 #include "util/check.h"
 
 namespace geer {
 namespace {
+
+// Lanczos budget and certificate (linalg/lanczos.h). The cap is a safety
+// net: a run that reaches it is still padded by its residual bounds.
+constexpr int kMaxIterations = 300;
+constexpr double kTolerance = 1e-10;
+constexpr std::uint64_t kSeed = 42;
+// λ is clamped to ≤ 1 − kFloorGap so the walk-length formulas stay finite.
+constexpr double kFloorGap = 1e-9;
 
 double ClampLambda(double lambda2, double lambda_n, double floor_gap) {
   const double raw = std::max(std::abs(lambda2), std::abs(lambda_n));
@@ -20,63 +28,21 @@ double ClampLambda(double lambda2, double lambda_n, double floor_gap) {
 }  // namespace
 
 template <WeightPolicy WP>
-SpectralBounds ComputeSpectralBoundsT(const typename WP::GraphT& graph,
-                                      const SpectralOptions& options) {
+SpectralBounds ComputeSpectralBoundsT(const typename WP::GraphT& graph) {
   GEER_CHECK_GE(graph.NumNodes(), 2u);
   NormalizedAdjacencyOperatorT<WP> op(graph);
   LanczosOptions lopt;
-  lopt.max_iterations = options.max_iterations;
-  lopt.tolerance = options.tolerance;
-  lopt.seed = options.seed;
+  lopt.max_iterations = kMaxIterations;
+  lopt.tolerance = kTolerance;
+  lopt.seed = kSeed;
   auto apply = [&op](const Vector& x, Vector* y) { op.Apply(x, y); };
-  LanczosResult res = LanczosExtremeEigenvalues(
+  const LanczosResult res = LanczosExtremeEigenvalues(
       apply, op.Dim(), {op.TopEigenvector()}, lopt);
 
   SpectralBounds out;
-  out.lambda2 = std::min(res.max_eigenvalue, 1.0);
-  out.lambda_n = std::max(res.min_eigenvalue, -1.0);
-  out.lambda = ClampLambda(out.lambda2, out.lambda_n, options.floor_gap);
-  out.lanczos_iterations = res.iterations;
-  return out;
-}
-
-template <WeightPolicy WP>
-SpectralBounds ComputeSpectralBoundsWarmT(const typename WP::GraphT& graph,
-                                          std::uint64_t epoch,
-                                          SpectralWarmState* state,
-                                          const SpectralOptions& options) {
-  GEER_CHECK_GE(graph.NumNodes(), 2u);
-  GEER_CHECK(state != nullptr);
-  NormalizedAdjacencyOperatorT<WP> op(graph);
-  LanczosOptions lopt;
-  lopt.max_iterations = options.max_iterations;
-  lopt.tolerance = options.tolerance;
-  // Per-epoch seed: the cold FALLBACK of the warm path is reproducible
-  // for (seed, epoch) yet distinct from the construction-time run, which
-  // uses options.seed unmixed (a fresh estimator knows no epoch).
-  lopt.seed = MixSeed(options.seed, epoch);
-  lopt.want_ritz_vectors = true;
-  std::vector<Vector> warm;
-  if (state->valid && state->max_ritz.size() == op.Dim() &&
-      state->min_ritz.size() == op.Dim()) {
-    warm.push_back(state->max_ritz);
-    warm.push_back(state->min_ritz);
-    lopt.warm_start = &warm;
-    lopt.stagnation_tolerance = options.warm_stagnation_tolerance;
-  }
-  auto apply = [&op](const Vector& x, Vector* y) { op.Apply(x, y); };
-  LanczosResult res = LanczosExtremeEigenvalues(
-      apply, op.Dim(), {op.TopEigenvector()}, lopt);
-
-  state->epoch = epoch;
-  state->max_ritz = std::move(res.max_ritz_vector);
-  state->min_ritz = std::move(res.min_ritz_vector);
-  state->valid = !state->max_ritz.empty() && !state->min_ritz.empty();
-
-  SpectralBounds out;
-  out.lambda2 = std::min(res.max_eigenvalue, 1.0);
-  out.lambda_n = std::max(res.min_eigenvalue, -1.0);
-  out.lambda = ClampLambda(out.lambda2, out.lambda_n, options.floor_gap);
+  out.lambda2 = std::min(res.max_eigenvalue + res.max_residual, 1.0);
+  out.lambda_n = std::max(res.min_eigenvalue - res.min_residual, -1.0);
+  out.lambda = ClampLambda(out.lambda2, out.lambda_n, kFloorGap);
   out.lanczos_iterations = res.iterations;
   return out;
 }
@@ -107,15 +73,9 @@ SpectralBounds ComputeSpectralBoundsDenseT(const typename WP::GraphT& graph) {
   return out;
 }
 
-template SpectralBounds ComputeSpectralBoundsT<UnitWeight>(
-    const Graph&, const SpectralOptions&);
+template SpectralBounds ComputeSpectralBoundsT<UnitWeight>(const Graph&);
 template SpectralBounds ComputeSpectralBoundsT<EdgeWeight>(
-    const WeightedGraph&, const SpectralOptions&);
-template SpectralBounds ComputeSpectralBoundsWarmT<UnitWeight>(
-    const Graph&, std::uint64_t, SpectralWarmState*, const SpectralOptions&);
-template SpectralBounds ComputeSpectralBoundsWarmT<EdgeWeight>(
-    const WeightedGraph&, std::uint64_t, SpectralWarmState*,
-    const SpectralOptions&);
+    const WeightedGraph&);
 template SpectralBounds ComputeSpectralBoundsDenseT<UnitWeight>(const Graph&);
 template SpectralBounds ComputeSpectralBoundsDenseT<EdgeWeight>(
     const WeightedGraph&);

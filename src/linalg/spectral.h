@@ -2,43 +2,28 @@
 // the transition matrix P once per graph; it parameterizes the maximum
 // walk lengths of Eq. (5) and Eq. (6). P is similar to the symmetric
 // N = D_w^{-1/2} A_w D_w^{-1/2}, so Lanczos on N (with the known top
-// eigenvector deflated) yields λ₂ and λ_n exactly as the paper's ARPACK
-// setup does. Weight-generic: the same code serves the unweighted and
-// weighted (conductance) stacks through graph/weight_policy.h.
+// eigenvector deflated) yields λ₂ and λ_n as the paper's ARPACK setup
+// does. The run stops when both extreme Ritz values are certified by
+// their residual bounds (linalg/lanczos.h), and each is padded outward by
+// its bound, so λ never under-estimates the true value — a short λ would
+// make ℓ too short for Theorem 3.1. Deterministic: one fixed seed, so
+// every replica of a graph derives the same λ bit for bit.
+// Weight-generic: the same code serves the unweighted and weighted
+// (conductance) stacks through graph/weight_policy.h.
 
 #ifndef GEER_LINALG_SPECTRAL_H_
 #define GEER_LINALG_SPECTRAL_H_
 
-#include <cstdint>
-
 #include "graph/weight_policy.h"
-#include "linalg/dense.h"
 
 namespace geer {
 
 /// The spectral quantities reused across all queries on a graph.
 struct SpectralBounds {
-  double lambda2 = 0.0;   ///< second-largest eigenvalue of P
-  double lambda_n = 0.0;  ///< smallest eigenvalue of P
+  double lambda2 = 0.0;   ///< second-largest eigenvalue of P (upper bound)
+  double lambda_n = 0.0;  ///< smallest eigenvalue of P (lower bound)
   double lambda = 0.0;    ///< max(|λ₂|, |λ_n|), clamped into [0, 1)
   int lanczos_iterations = 0;
-};
-
-struct SpectralOptions {
-  int max_iterations = 300;
-  double tolerance = 1e-10;
-  std::uint64_t seed = 42;
-  /// Safety margin: λ is clamped to ≤ 1 − `floor_gap` so the walk-length
-  /// formulas stay finite even if Lanczos slightly overshoots.
-  double floor_gap = 1e-9;
-  /// Ritz-value stagnation tolerance for WARM-started runs only (see
-  /// LanczosOptions::stagnation_tolerance): with the previous epoch's
-  /// Ritz vectors as the start, the extremes stabilize within a few
-  /// iterations and the run exits early instead of spending the full
-  /// Krylov budget — the O(touched)-ish half of the incremental-epoch
-  /// swap. Cold runs (fresh construction, invalid warm state) never use
-  /// it, keeping their λ bit-identical.
-  double warm_stagnation_tolerance = 1e-9;
 };
 
 /// Computes λ₂, λ_n and λ for a connected graph under weight policy WP.
@@ -46,45 +31,15 @@ struct SpectralOptions {
 /// caller should reject them for walk-based estimators, or run
 /// EnsureNonBipartite first).
 template <WeightPolicy WP>
-SpectralBounds ComputeSpectralBoundsT(const typename WP::GraphT& graph,
-                                      const SpectralOptions& options = {});
+SpectralBounds ComputeSpectralBoundsT(const typename WP::GraphT& graph);
 
 /// Exact (dense Jacobi) spectral bounds for small graphs; test oracle.
 template <WeightPolicy WP>
 SpectralBounds ComputeSpectralBoundsDenseT(const typename WP::GraphT& graph);
 
-/// Carry-over state for warm-started spectral maintenance across dynamic
-/// epochs: the previous epoch's extreme Ritz vectors of N. A small edge
-/// update perturbs N locally, so these vectors are near-eigenvectors of
-/// the new operator and Lanczos converges in a handful of iterations
-/// instead of a cold O(dozens). Invalidated (valid = false) whenever the
-/// node count changes or the previous run produced no usable vectors.
-struct SpectralWarmState {
-  bool valid = false;
-  std::uint64_t epoch = 0;  ///< epoch whose run produced the vectors
-  Vector max_ritz;          ///< Ritz vector of the largest deflated Ritz value
-  Vector min_ritz;          ///< Ritz vector of the smallest Ritz value
-};
-
-/// Warm-started spectral bounds for epoch `epoch` of a dynamic graph.
-/// Reads `state` (when valid and dimension-matched) to seed the Lanczos
-/// start vector, and overwrites it with this epoch's Ritz vectors on
-/// return. The Lanczos seed is mixed with the epoch number, so both the
-/// warm path and its deterministic cold fallback (state invalid /
-/// resized graph) are reproducible AND distinguishable from the
-/// construction-time cold run of ComputeSpectralBoundsT. The returned λ
-/// generally differs from the cold λ in the last bits (documented drift
-/// ≤ the Lanczos tolerance) — callers opt in via GraphEpoch::incremental.
-template <WeightPolicy WP>
-SpectralBounds ComputeSpectralBoundsWarmT(const typename WP::GraphT& graph,
-                                          std::uint64_t epoch,
-                                          SpectralWarmState* state,
-                                          const SpectralOptions& options = {});
-
 /// Unweighted entry points (historical names).
-inline SpectralBounds ComputeSpectralBounds(
-    const Graph& graph, const SpectralOptions& options = {}) {
-  return ComputeSpectralBoundsT<UnitWeight>(graph, options);
+inline SpectralBounds ComputeSpectralBounds(const Graph& graph) {
+  return ComputeSpectralBoundsT<UnitWeight>(graph);
 }
 inline SpectralBounds ComputeSpectralBoundsDense(const Graph& graph) {
   return ComputeSpectralBoundsDenseT<UnitWeight>(graph);
@@ -93,8 +48,8 @@ inline SpectralBounds ComputeSpectralBoundsDense(const Graph& graph) {
 /// Weighted entry points. With unit weights the results match the
 /// unweighted functions on the skeleton exactly.
 inline SpectralBounds ComputeWeightedSpectralBounds(
-    const WeightedGraph& graph, const SpectralOptions& options = {}) {
-  return ComputeSpectralBoundsT<EdgeWeight>(graph, options);
+    const WeightedGraph& graph) {
+  return ComputeSpectralBoundsT<EdgeWeight>(graph);
 }
 inline SpectralBounds ComputeWeightedSpectralBoundsDense(
     const WeightedGraph& graph) {
@@ -102,14 +57,9 @@ inline SpectralBounds ComputeWeightedSpectralBoundsDense(
 }
 
 extern template SpectralBounds ComputeSpectralBoundsT<UnitWeight>(
-    const Graph&, const SpectralOptions&);
+    const Graph&);
 extern template SpectralBounds ComputeSpectralBoundsT<EdgeWeight>(
-    const WeightedGraph&, const SpectralOptions&);
-extern template SpectralBounds ComputeSpectralBoundsWarmT<UnitWeight>(
-    const Graph&, std::uint64_t, SpectralWarmState*, const SpectralOptions&);
-extern template SpectralBounds ComputeSpectralBoundsWarmT<EdgeWeight>(
-    const WeightedGraph&, std::uint64_t, SpectralWarmState*,
-    const SpectralOptions&);
+    const WeightedGraph&);
 extern template SpectralBounds ComputeSpectralBoundsDenseT<UnitWeight>(
     const Graph&);
 extern template SpectralBounds ComputeSpectralBoundsDenseT<EdgeWeight>(

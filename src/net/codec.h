@@ -47,9 +47,9 @@ struct HelloAckMsg {
 /// once all shards acked (see net/router.h for the cross-shard
 /// barrier).
 struct ApplyUpdatesMsg {
-  /// Opt into GraphEpoch::incremental maintenance on the shard (answers
-  /// may then drift within the documented tolerances; leave false for
-  /// the strict bit-identity contract).
+  /// Opt into GraphEpoch::incremental maintenance on the shard (EXACT's
+  /// answers may then drift within the documented tolerance; leave false
+  /// for the strict bit-identity contract). λ is derived cold either way.
   bool incremental = false;
   /// Precomputed λ for the post-update graph; absent = each shard
   /// re-derives it deterministically.

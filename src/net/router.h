@@ -21,8 +21,8 @@
 // single-service guarantee to the cluster: queries forwarded before the
 // activation are answered on the old epoch everywhere, queries after it
 // on the new epoch everywhere, and no query ever observes a half-swapped
-// cluster. Incremental epochs derive their warm λ inside the rebind, so
-// for them the Lanczos run still falls inside the barrier.
+// cluster. Incremental epochs derive the same cold λ during prepare, so
+// no Lanczos run ever falls inside the barrier.
 //
 // Metrics: geer_router_swap_prepare_ns times the prepare fan-out,
 // geer_router_swap_exclusive_ns how long the barrier held reads. A

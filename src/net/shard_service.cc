@@ -181,13 +181,7 @@ ApplyUpdatesAckMsg ShardServer::PrepareLocked(const ApplyUpdatesMsg& msg) {
   }
   for (const EdgeUpdate& op : msg.updates) graph_.Apply(op);
   Prepared next{graph_.Commit(), msg.lambda, msg.incremental};
-  if (msg.incremental) {
-    // Incremental epochs leave λ to the shared cross-epoch holder
-    // (warm-started Lanczos inside the rebind, so during activation),
-    // exactly like the in-process dynamic workload runner.
-    if (spectral_ == nullptr && reads_lambda_) spectral_ = MakeSharedSpectral();
-    next.lambda = std::nullopt;
-  } else if (!next.lambda.has_value() && reads_lambda_) {
+  if (!next.lambda.has_value() && reads_lambda_) {
     next.lambda =
         ComputeSpectralBoundsT<UnitWeight>(*next.snapshot->graph).lambda;
   }
@@ -203,9 +197,8 @@ ApplyUpdatesAckMsg ShardServer::ActivateLocked(std::uint64_t epoch) {
   Prepared next = std::move(*prepared_);
   prepared_.reset();
   const bool ok =
-      ApplyEpochUpdate<UnitWeight>(
-          *service_, next.snapshot, next.lambda, next.incremental,
-          next.incremental ? spectral_ : nullptr)
+      ApplyEpochUpdate<UnitWeight>(*service_, next.snapshot, next.lambda,
+                                   next.incremental)
           .get();
   if (ok) {
     epoch_.store(next.snapshot->epoch);

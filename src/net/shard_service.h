@@ -34,7 +34,6 @@
 #include <string>
 
 #include "core/options.h"
-#include "core/spectral_epoch.h"
 #include "dyn/dynamic_graph.h"
 #include "net/codec.h"
 #include "net/server.h"
@@ -102,13 +101,10 @@ class ShardServer {
   /// The epoch a PrepareUpdates staged, waiting for its ActivateEpoch.
   struct Prepared {
     std::shared_ptr<const DynSnapshot> snapshot;
-    std::optional<double> lambda;  ///< cold λ; empty on incremental epochs
+    std::optional<double> lambda;  ///< cold λ, derived before activation
     bool incremental = false;
   };
   std::optional<Prepared> prepared_;  // guarded by update_mu_
-  /// Cross-epoch spectral holder for incremental swaps (created on the
-  /// first incremental ApplyUpdates; null until then).
-  std::shared_ptr<EpochShared<EpochSpectral>> spectral_;
 
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint32_t> num_nodes_{0};  ///< served epoch's node count

@@ -108,8 +108,8 @@ struct ServeMetrics {
   std::uint64_t flush_swap = 0;      ///< pre-swap barrier drain
   std::uint64_t epoch_swaps = 0;     ///< ApplyUpdates swaps applied
   /// RebindGraph calls across all workers that reused previous-epoch
-  /// state instead of rebuilding cold (warm-started λ, incrementally
-  /// updated factor/solver, selective visit-set session retention) —
+  /// state instead of rebuilding cold (incrementally updated
+  /// factor/solver, selective visit-set session retention) —
   /// summed from ErEstimator::IncrementalRebinds after every swap. The
   /// incremental-epochs tests assert this is > 0 when
   /// GraphEpoch::incremental workloads actually take the fast path.
@@ -189,7 +189,9 @@ class QueryService : public QuerySubmitter {
   /// (released on the NEXT swap or at destruction). The future resolves
   /// true once every worker rebound, false if the swap was abandoned
   /// (unsupported estimator, or shutdown before application). Multiple
-  /// pending swaps apply in submission order. Thread-safe.
+  /// pending swaps apply in submission order. Thread-safe. The rebinder
+  /// runs while dispatch is paused, so callers derive λ before the call
+  /// (dyn/dyn_serve.h's `lambda`) to keep the Lanczos run out of it.
   std::future<bool> ApplyUpdates(std::uint64_t epoch, EpochRebindFn rebind,
                                  std::shared_ptr<const void> keep_alive =
                                      nullptr);

@@ -21,10 +21,10 @@
 
 #include "core/batch_engine.h"
 #include "core/exact.h"
+#include "core/geer.h"
 #include "core/registry.h"
 #include "core/smm.h"
 #include "core/solver_er.h"
-#include "core/spectral_epoch.h"
 #include "core/tp.h"
 #include "core/tpc.h"
 #include "dyn/dynamic_graph.h"
@@ -494,17 +494,16 @@ TEST(DynConsistencyTest, TpcSessionSurvivesDisjointUpdates) {
   }
 }
 
-// Warm-started Lanczos: the per-epoch λ derived through a shared
-// spectral holder under GraphEpoch::incremental (a) stays within the
-// documented 1e-6 drift of the cold computation, (b) actually
-// warm-starts from the second non-resized epoch on, and (c) is
-// DETERMINISTIC — replaying the same epoch sequence through a fresh
-// holder reproduces every λ bit for bit.
+// λ under GraphEpoch::incremental: a λ-reading estimator rebound onto an
+// incremental epoch adopts exactly the cold λ a fresh construction
+// derives — bit for bit — on every epoch, resized or not. Replaying the
+// same epoch sequence on a second estimator reproduces every λ.
 template <WeightPolicy WP>
-void RunWarmSpectralBoundedDriftAndDeterministic() {
+void RunIncrementalEpochLambdaIsCold() {
   // Pre-generate the epoch sequence once so both replays see identical
   // graphs.
   DynamicGraphT<WP> dyn(BaseGraph<WP>());
+  auto initial = dyn.Current();
   UpdateGeneratorT<WP> generator(dyn, 303);
   std::vector<std::shared_ptr<const DynSnapshotT<WP>>> snapshots;
   for (int batch = 0; batch < 4; ++batch) {
@@ -512,41 +511,33 @@ void RunWarmSpectralBoundedDriftAndDeterministic() {
     snapshots.push_back(dyn.Commit());
   }
 
+  const ErOptions options = TestOptions();
   std::vector<std::vector<double>> replays;
   for (int replay = 0; replay < 2; ++replay) {
-    auto holder = MakeSharedSpectral();
+    GeerEstimatorT<WP> estimator(*initial->graph, options);
     std::vector<double> lambdas;
-    bool prior_epoch_warmable = false;
     for (const auto& snap : snapshots) {
       GraphEpoch epoch;
       epoch.epoch = snap->epoch;
       epoch.touched = std::span<const NodeId>(snap->touched);
       epoch.resized = snap->resized;
       epoch.incremental = true;
-      epoch.spectral = holder;
-      bool warm = false;
-      const double lambda = RebindLambda<WP>(*snap->graph, epoch, &warm);
+      ASSERT_TRUE(estimator.RebindGraph(*snap->graph, epoch));
       const double cold = ComputeSpectralBoundsT<WP>(*snap->graph).lambda;
-      EXPECT_LE(std::abs(lambda - cold), 1e-6)
-          << "epoch " << snap->epoch << " warm λ drifted";
-      EXPECT_EQ(warm, prior_epoch_warmable && !snap->resized)
-          << "epoch " << snap->epoch;
-      // A resized epoch runs cold and records nothing, so the warm
-      // chain restarts at the NEXT incremental epoch.
-      prior_epoch_warmable = !snap->resized;
-      lambdas.push_back(lambda);
+      EXPECT_EQ(estimator.lambda(), cold) << "epoch " << snap->epoch;
+      lambdas.push_back(estimator.lambda());
     }
     replays.push_back(std::move(lambdas));
   }
-  EXPECT_EQ(replays[0], replays[1]) << "warm λ sequence not deterministic";
+  EXPECT_EQ(replays[0], replays[1]) << "λ sequence not deterministic";
 }
 
-TEST(DynConsistencyTest, WarmSpectralBoundedDriftUnweighted) {
-  RunWarmSpectralBoundedDriftAndDeterministic<UnitWeight>();
+TEST(DynConsistencyTest, IncrementalEpochLambdaIsColdUnweighted) {
+  RunIncrementalEpochLambdaIsCold<UnitWeight>();
 }
 
-TEST(DynConsistencyTest, WarmSpectralBoundedDriftWeighted) {
-  RunWarmSpectralBoundedDriftAndDeterministic<EdgeWeight>();
+TEST(DynConsistencyTest, IncrementalEpochLambdaIsColdWeighted) {
+  RunIncrementalEpochLambdaIsCold<EdgeWeight>();
 }
 
 // EXACT under GraphEpoch::incremental: small touched sets take the

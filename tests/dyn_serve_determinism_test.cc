@@ -272,41 +272,36 @@ TEST(DynServeDeterminismTest, ApplyUpdatesIsASubmissionBarrier) {
   service.Shutdown();
 }
 
-// Incremental swaps surface in ServeMetrics: with a shared spectral
-// holder carried across epochs, the second swap onward warm-starts λ on
-// every worker, and the counter is refreshed at the swap itself — a
-// swap-only sequence (no queries after the update) still observes it.
+// Incremental swaps surface in ServeMetrics: EXACT's rank-1 factor path
+// engages on every small-touch incremental swap (the construction-time
+// factor is the first swap's predecessor), every worker that adopts the
+// updated factor counts it, and the counter is refreshed at the swap
+// itself — a swap-only sequence (no queries after the update) still
+// observes it.
 TEST(DynServeDeterminismTest, IncrementalSwapsCountRebindsInMetrics) {
   const ErOptions options = TestOptions();
   DynamicGraph graph(BaseGraph());
   auto initial = graph.Current();
-  auto estimator = CreateEstimator("GEER", *initial->graph, options);
+  auto estimator = CreateEstimator("EXACT", *initial->graph, options);
   ServeOptions serve_options;
   serve_options.threads = 2;
   QueryService service(*estimator, serve_options);
-  auto spectral = MakeSharedSpectral();
 
-  std::uint64_t after_first = 0;
+  std::uint64_t swaps = 0;
   for (const auto& batch : UpdateBatches()) {
     for (const EdgeUpdate& op : batch) graph.Apply(op);
     std::future<bool> swapped = ApplyEpochUpdate<UnitWeight>(
-        service, graph.Commit(), std::nullopt, /*incremental=*/true,
-        spectral);
+        service, graph.Commit(), std::nullopt, /*incremental=*/true);
     ASSERT_TRUE(swapped.get());
-    if (after_first == 0) {
-      // The first swap has no prior Ritz vectors to warm from: the
-      // holder is populated cold, and no rebind counts as incremental.
-      after_first = 1;
-      EXPECT_EQ(service.Metrics().incremental_rebinds, 0u);
-    }
+    ++swaps;
+    // Both workers adopt each epoch's rank-1-updated factor.
+    EXPECT_EQ(service.Metrics().incremental_rebinds, 2 * swaps);
   }
-  // Swaps 2 and 3 warm-start on both workers.
-  EXPECT_GE(service.Metrics().incremental_rebinds, 4u);
   service.Shutdown();
 }
 
-// Same contract through the workload driver: incremental_epochs wires
-// the holder automatically and reports the final counter.
+// Same contract through the workload driver: incremental_epochs opts
+// every swap in and the result reports the final counter.
 TEST(DynServeDeterminismTest, WorkloadReportsIncrementalRebinds) {
   const ErOptions options = TestOptions();
   const std::vector<QueryPair> queries = TestQueries();
@@ -323,7 +318,7 @@ TEST(DynServeDeterminismTest, WorkloadReportsIncrementalRebinds) {
   serve_options.max_batch_size = 4;
   serve_options.max_linger_seconds = 0.0;
   const DynamicWorkloadResult result = RunDynamicWorkload<UnitWeight>(
-      graph, "GEER", options, trace, serve_options,
+      graph, "EXACT", options, trace, serve_options,
       /*deadline_seconds=*/0.0, /*realtime=*/false,
       /*incremental_epochs=*/true);
   EXPECT_EQ(result.commits, UpdateBatches().size());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "linalg/jacobi_eigen.h"
 #include "rw/rng.h"
 
@@ -73,13 +75,49 @@ TEST(LanczosTest, ConvergesOnLowRank) {
   EXPECT_NEAR(res.max_eigenvalue, Dot(v, v), 1e-6);
 }
 
+// A run the cap ends is not certified, but its residual bounds still
+// hold: the padded extremes bracket the true ones.
 TEST(LanczosTest, IterationCapRespected) {
   const std::size_t n = 50;
   Matrix m = RandomSymmetric(n, 8);
+  EigenDecomposition dense = JacobiEigenSolve(m);
   LanczosOptions opt;
   opt.max_iterations = 10;
   LanczosResult res = LanczosExtremeEigenvalues(AsOperator(m), n, {}, opt);
-  EXPECT_LE(res.iterations, 10);
+  EXPECT_EQ(res.iterations, 10);
+  EXPECT_FALSE(res.converged);
+  EXPECT_GT(res.max_residual, opt.tolerance);
+  EXPECT_GE(res.max_eigenvalue + res.max_residual, dense.eigenvalues.back());
+  EXPECT_LE(res.min_eigenvalue - res.min_residual, dense.eigenvalues.front());
+}
+
+// The certified stop fires well before the Krylov space is exhausted,
+// and both residual bounds then meet the relative tolerance.
+TEST(LanczosTest, CertifiedStopBeforeExhaustion) {
+  const std::size_t n = 300;
+  Matrix m(n, n, 0.0);
+  // Well-separated extremes: a diagonal spectrum in [-1, 1] plus two
+  // outliers, mixed by a random symmetric perturbation of norm ~1e-3.
+  Matrix noise = RandomSymmetric(n, 77);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) m(i, j) = 1e-4 * noise(i, j);
+    m(i, i) += -1.0 + 2.0 * static_cast<double>(i) / (n - 1.0);
+  }
+  m(0, 0) = -3.0;
+  m(n - 1, n - 1) = 4.0;
+  EigenDecomposition dense = JacobiEigenSolve(m);
+  LanczosResult res = LanczosExtremeEigenvalues(AsOperator(m), n, {});
+  EXPECT_TRUE(res.converged);
+  EXPECT_LT(res.iterations, static_cast<int>(n) / 2);
+  EXPECT_LE(res.max_residual, 1e-10 * std::abs(res.max_eigenvalue));
+  EXPECT_LE(res.min_residual, 1e-10 * std::abs(res.min_eigenvalue));
+  // Ritz values lie inside the spectrum; padding reaches past its ends.
+  EXPECT_LE(res.max_eigenvalue, dense.eigenvalues.back() + 1e-12);
+  EXPECT_GE(res.max_eigenvalue + res.max_residual,
+            dense.eigenvalues.back() - 1e-12);
+  EXPECT_GE(res.min_eigenvalue, dense.eigenvalues.front() - 1e-12);
+  EXPECT_LE(res.min_eigenvalue - res.min_residual,
+            dense.eigenvalues.front() + 1e-12);
 }
 
 }  // namespace

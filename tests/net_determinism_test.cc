@@ -2,12 +2,12 @@
 // in-process shard servers (full replicas, loopback ephemeral ports)
 // answers a shuffled Zipf trace BIT-IDENTICALLY to the in-process
 // QueryService built from the same graph, seed and options — including
-// across a router-coordinated epoch swap (non-incremental ApplyUpdates
-// broadcast to every shard, each deriving the same λ deterministically
-// exactly as net/shard_service.cc does). Also pins the epoch stamps a
-// client observes (0 before the swap, the committed epoch after), the
-// aggregate HelloAck, the ok=false ack for an invalid update stream
-// (with the cluster still serving the old epoch afterwards), the
+// across a router-coordinated epoch swap (ApplyUpdates broadcast to every
+// shard, strict or incremental, each deriving the same cold λ
+// deterministically exactly as net/shard_service.cc does). Also pins the
+// epoch stamps a client observes (0 before the swap, the committed epoch
+// after), the aggregate HelloAck, the ok=false ack for an invalid update
+// stream (with the cluster still serving the old epoch afterwards), the
 // kFailed outcome for an out-of-range query, and the fail-fast Hello
 // verification when replicas disagree. The two-phase swap is pinned
 // too: out-of-order kPrepareUpdates / kActivateEpoch frames are acked
@@ -117,8 +117,8 @@ class InProcessTruth {
   DynamicGraph& dyn() { return dyn_; }
   QueryService& service() { return *service_; }
 
-  /// Mirrors ShardServer::HandleApplyUpdates for the non-incremental
-  /// path: apply + commit + cold λ + barrier swap.
+  /// Mirrors ShardServer's prepare + activate: apply + commit + cold λ +
+  /// barrier swap.
   bool ApplyAndSwap(const std::vector<EdgeUpdate>& updates) {
     for (const EdgeUpdate& op : updates) dyn_.Apply(op);
     auto snapshot = dyn_.Commit();
@@ -126,10 +126,8 @@ class InProcessTruth {
     if (reads_lambda_) {
       lambda = ComputeSpectralBoundsT<UnitWeight>(*snapshot->graph).lambda;
     }
-    const bool ok = ApplyEpochUpdate<UnitWeight>(*service_, snapshot, lambda,
-                                                 /*incremental=*/false,
-                                                 nullptr)
-                        .get();
+    const bool ok =
+        ApplyEpochUpdate<UnitWeight>(*service_, snapshot, lambda).get();
     if (ok) snapshot_ = snapshot;
     return ok;
   }
@@ -184,72 +182,80 @@ class Cluster {
   std::unique_ptr<Router> router_;
 };
 
+// Runs once per ApplyUpdatesMsg::incremental value. The flag does not
+// change how a shard derives λ, so an incremental swap must match the
+// cold-λ in-process truth bit for bit too.
 TEST(NetDeterminismTest, ClusterMatchesInProcessServiceBitwiseAcrossSwap) {
-  auto dataset = MakeDataset("facebook", 0.05);
-  ASSERT_TRUE(dataset.has_value());
-  const NodeId n = dataset->graph.NumNodes();
-  const auto queries = TestQueries(n, 48);
+  for (const bool incremental : {false, true}) {
+    auto dataset = MakeDataset("facebook", 0.05);
+    ASSERT_TRUE(dataset.has_value());
+    const NodeId n = dataset->graph.NumNodes();
+    const auto queries = TestQueries(n, 48);
 
-  InProcessTruth truth(dataset->graph);
-  // One update batch, generated once and shipped to BOTH transports.
-  UpdateGenerator generator(truth.dyn(), kSeed);
-  const std::vector<EdgeUpdate> batch = generator.NextBatch(12);
+    InProcessTruth truth(dataset->graph);
+    // One update batch, generated once and shipped to BOTH transports.
+    UpdateGenerator generator(truth.dyn(), kSeed);
+    const std::vector<EdgeUpdate> batch = generator.NextBatch(12);
 
-  const auto truth_before = SubmitAll(truth.service(), queries);
-  ASSERT_TRUE(truth.ApplyAndSwap(batch));
-  const auto truth_after = SubmitAll(truth.service(), queries);
+    const auto truth_before = SubmitAll(truth.service(), queries);
+    ASSERT_TRUE(truth.ApplyAndSwap(batch));
+    const auto truth_after = SubmitAll(truth.service(), queries);
 
-  Cluster cluster(dataset->graph);
-  NetSubmitter submitter("127.0.0.1", cluster.router_port(), 3);
-  std::string error;
-  ASSERT_TRUE(submitter.Connect(&error)) << error;
+    Cluster cluster(dataset->graph);
+    NetSubmitter submitter("127.0.0.1", cluster.router_port(), 3);
+    std::string error;
+    ASSERT_TRUE(submitter.Connect(&error)) << error;
 
-  // Aggregate HelloAck: the router reports the deployment, not a shard.
-  EXPECT_EQ(submitter.info().num_nodes, n);
-  EXPECT_EQ(submitter.info().num_edges, dataset->graph.NumEdges());
-  EXPECT_EQ(submitter.info().epoch, 0u);
-  EXPECT_EQ(submitter.info().num_shards, 2u);
+    // Aggregate HelloAck: the router reports the deployment, not a shard.
+    EXPECT_EQ(submitter.info().num_nodes, n);
+    EXPECT_EQ(submitter.info().num_edges, dataset->graph.NumEdges());
+    EXPECT_EQ(submitter.info().epoch, 0u);
+    EXPECT_EQ(submitter.info().num_shards, 2u);
 
-  const auto net_before = SubmitAll(submitter, queries);
-  ASSERT_EQ(net_before.size(), truth_before.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(net_before[i].status, ServeStatus::kAnswered)
-        << "query " << i << " (" << queries[i].s << "," << queries[i].t << ")";
-    ASSERT_EQ(truth_before[i].status, ServeStatus::kAnswered);
-    // THE contract: the networked answer is the in-process answer, to
-    // the last bit, whatever replica and micro-batch it rode through.
-    EXPECT_EQ(net_before[i].stats.value, truth_before[i].stats.value)
-        << "query " << i << " diverged over the wire (epoch 0)";
-    EXPECT_EQ(net_before[i].epoch, 0u);
+    const auto net_before = SubmitAll(submitter, queries);
+    ASSERT_EQ(net_before.size(), truth_before.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(net_before[i].status, ServeStatus::kAnswered)
+          << "query " << i << " (" << queries[i].s << "," << queries[i].t
+          << ")";
+      ASSERT_EQ(truth_before[i].status, ServeStatus::kAnswered);
+      // THE contract: the networked answer is the in-process answer, to
+      // the last bit, whatever replica and micro-batch it rode through.
+      EXPECT_EQ(net_before[i].stats.value, truth_before[i].stats.value)
+          << "query " << i << " diverged over the wire (epoch 0)";
+      EXPECT_EQ(net_before[i].epoch, 0u);
+    }
+
+    // Router-coordinated swap: broadcast, all-acks, new epoch everywhere.
+    ApplyUpdatesMsg msg;
+    msg.updates = batch;
+    msg.incremental = incremental;
+    ApplyUpdatesAckMsg ack;
+    ASSERT_TRUE(submitter.ApplyUpdates(msg, &ack, &error)) << error;
+    EXPECT_TRUE(ack.ok);
+    EXPECT_EQ(ack.epoch, 1u);
+
+    const auto net_after = SubmitAll(submitter, queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(net_after[i].status, ServeStatus::kAnswered) << "query " << i;
+      ASSERT_EQ(truth_after[i].status, ServeStatus::kAnswered);
+      EXPECT_EQ(net_after[i].stats.value, truth_after[i].stats.value)
+          << "query " << i << " diverged over the wire (epoch 1, incremental "
+          << incremental << ")";
+      EXPECT_EQ(net_after[i].epoch, 1u);
+    }
+
+    // Out-of-range endpoints come back as a serving outcome, not a hang or
+    // a dead connection: the router replies kError(kOutOfRange), the
+    // submitter resolves kFailed, and the next query still works.
+    QueryResult bad = submitter.Submit({n, 0}).get();
+    EXPECT_EQ(bad.status, ServeStatus::kFailed);
+    QueryResult good = submitter.Submit(queries[0]).get();
+    EXPECT_EQ(good.status, ServeStatus::kAnswered);
+    EXPECT_EQ(good.stats.value, truth_after[0].stats.value);
+
+    submitter.Close();
   }
-
-  // Router-coordinated swap: broadcast, all-acks, new epoch everywhere.
-  ApplyUpdatesMsg msg;
-  msg.updates = batch;
-  ApplyUpdatesAckMsg ack;
-  ASSERT_TRUE(submitter.ApplyUpdates(msg, &ack, &error)) << error;
-  EXPECT_TRUE(ack.ok);
-  EXPECT_EQ(ack.epoch, 1u);
-
-  const auto net_after = SubmitAll(submitter, queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(net_after[i].status, ServeStatus::kAnswered) << "query " << i;
-    ASSERT_EQ(truth_after[i].status, ServeStatus::kAnswered);
-    EXPECT_EQ(net_after[i].stats.value, truth_after[i].stats.value)
-        << "query " << i << " diverged over the wire (epoch 1)";
-    EXPECT_EQ(net_after[i].epoch, 1u);
-  }
-
-  // Out-of-range endpoints come back as a serving outcome, not a hang or
-  // a dead connection: the router replies kError(kOutOfRange), the
-  // submitter resolves kFailed, and the next query still works.
-  QueryResult bad = submitter.Submit({n, 0}).get();
-  EXPECT_EQ(bad.status, ServeStatus::kFailed);
-  QueryResult good = submitter.Submit(queries[0]).get();
-  EXPECT_EQ(good.status, ServeStatus::kAnswered);
-  EXPECT_EQ(good.stats.value, truth_after[0].stats.value);
-
-  submitter.Close();
 }
 
 TEST(NetDeterminismTest, InvalidUpdateStreamAcksFalseAndKeepsServing) {
